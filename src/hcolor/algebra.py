@@ -175,12 +175,6 @@ def is_siggers(t: OperationTable) -> bool:
     return all(t(a, x, e, a) == t(x, a, x, e) for a in r for x in r for e in r)
 
 
-def is_commutative_on(t: OperationTable, subset) -> bool:
-    if t.arity != 2:
-        return False
-    return all(t(x, y) == t(y, x) for x in subset for y in subset)
-
-
 def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
     """The restriction to `subset` is a WNU operation on it (closure included)."""
     sub = sorted(subset)

@@ -72,12 +72,17 @@ class RunConfig:
             raise HcolorError("thread count must be positive")
 
 
+def _given_or(value, default):
+    return default if value is None else value
+
+
 def _config(args) -> RunConfig:
     return RunConfig(
         seed=getattr(args, "seed", 0),
         node_budget=getattr(args, "budget_nodes", None),
-        indicator_budget=getattr(args, "budget_indicator", None) or DEFAULT_INDICATOR_BUDGET,
-        power_budget=getattr(args, "budget_power", None) or DEFAULT_POWER_BUDGET,
+        indicator_budget=_given_or(getattr(args, "budget_indicator", None),
+                                   DEFAULT_INDICATOR_BUDGET),
+        power_budget=_given_or(getattr(args, "budget_power", None), DEFAULT_POWER_BUDGET),
         wall_budget=getattr(args, "budget_wall", None),
         json_out=getattr(args, "json", None),
         threads=getattr(args, "threads", 1),

@@ -9,8 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BudgetExceeded, InvalidFormat, NotBalanced
 
@@ -52,20 +51,6 @@ class Digraph:
         for u, v in self.edges_sorted:
             inn[v].append(u)
         return tuple(tuple(ns) for ns in inn)
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-        return tuple(masks)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[v] |= 1 << u
-        return tuple(masks)
 
     def __str__(self) -> str:
         return f"Digraph({self.vertex_count} vertices, {len(self.edges)} edges)"
@@ -296,8 +281,3 @@ def read_dg(path) -> Digraph:
 def write_dg(path, g: Digraph) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_dg(g))
-
-
-def iter_vertex_tuples(base: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All n-tuples over range(base) in lexicographic order."""
-    return iter(product(range(base), repeat=n))

@@ -78,3 +78,7 @@ class InvalidParams(HcolorError):
 
 class InvalidFormat(HcolorError):
     """A text file does not conform to its declared format."""
+
+
+class VerificationFailed(HcolorError):
+    """An independent re-check rejected a result the search produced."""

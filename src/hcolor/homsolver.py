@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product
 
 from .digraph import Digraph
-from .errors import BudgetExceeded, InvalidPin
+from .errors import BudgetExceeded, InvalidPin, VerificationFailed
 
 DEFAULT_ENUM_BUDGET = 5_000_000
 
@@ -24,10 +24,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,28 @@ class Relation:
             fwd[a] |= 1 << b
             rev[b] |= 1 << a
         return cls(size, tuple(fwd), tuple(rev))
+
+    @cached_property
+    def preimages(self) -> dict[int, int]:
+        """Memo: mask -> values with a successor in mask (see `_ac_fixpoint`)."""
+        return {}
+
+    @cached_property
+    def images(self) -> dict[int, int]:
+        """Memo: mask -> values with a predecessor in mask (see `_ac_fixpoint`)."""
+        return {}
+
+    def preimage(self, mask: int) -> int:
+        out = 0
+        for b in _bits(mask):
+            out |= self.rev[b]
+        return out
+
+    def image(self, mask: int) -> int:
+        out = 0
+        for a in _bits(mask):
+            out |= self.fwd[a]
+        return out
 
     @cached_property
     def diagonal(self) -> int:
@@ -84,9 +102,6 @@ class CspInstance:
     def variable_count(self) -> int:
         return len(self.domains)
 
-    def is_solved(self) -> bool:
-        return all(_popcount(d) == 1 for d in self.domains)
-
 
 def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -> CspInstance:
     """One variable per x-vertex, full target domains, one constraint per x-edge."""
@@ -109,7 +124,9 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     """Worklist support filtering in place; False when a domain empties.
 
     With `dirty` given, only constraints touching those variables seed the
-    worklist (the rest are assumed already consistent).
+    worklist (the rest are assumed already consistent).  A revise looks its
+    masks up in the relation's memos; searches revisit few distinct domain
+    masks, so the memos stay small.
     """
     cons = inst.constraints
     if dirty is None:
@@ -130,21 +147,24 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
                 if not queued[ci]:
                     queued[ci] = True
                     queue.append(ci)
+    last = None
     while queue:
         ci = queue.popleft()
         queued[ci] = False
         u, v, rel, _ = cons[ci]
         if u == v:
             continue
+        if rel is not last:
+            last, preimages, images = rel, rel.preimages, rel.images
         du, dv = domains[u], domains[v]
-        new_u = 0
-        for a in _bits(du):
-            if rel.fwd[a] & dv:
-                new_u |= 1 << a
-        new_v = 0
-        for b in _bits(dv):
-            if rel.rev[b] & new_u:
-                new_v |= 1 << b
+        support = preimages.get(dv)
+        if support is None:
+            support = preimages[dv] = rel.preimage(dv)
+        new_u = du & support
+        support = images.get(new_u)
+        if support is None:
+            support = images[new_u] = rel.image(new_u)
+        new_v = dv & support
         if not new_u or not new_v:
             return False
         for var, new, old in ((u, new_u, du), (v, new_v, dv)):
@@ -185,11 +205,12 @@ class _NodeCounter:
 
 def _branch_var(domains: list[int]) -> int:
     best = -1
-    best_size = None
+    best_size = 0
     for i, d in enumerate(domains):
-        size = _popcount(d)
-        if size > 1 and (best_size is None or size < best_size):
-            best, best_size = i, size
+        if d & (d - 1):  # two or more values
+            size = d.bit_count()
+            if best < 0 or size < best_size:
+                best, best_size = i, size
     return best
 
 
@@ -230,7 +251,8 @@ def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[i
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)
     for u, v, rel, tag in inst.constraints:
-        assert rel.fwd[assignment[u]] >> assignment[v] & 1, tag
+        if not rel.fwd[assignment[u]] >> assignment[v] & 1:
+            raise VerificationFailed(f"solver result violates constraint {tag}")
     return assignment
 
 
@@ -254,8 +276,8 @@ def solve_hom(x: Digraph, h: Digraph, pins: dict[int, int] | None = None,
         return None
     inst = build_instance(x, h, pins)
     found = solve_instance(inst, node_budget)
-    if found is not None:
-        assert is_homomorphism(x, h, found, pins)
+    if found is not None and not is_homomorphism(x, h, found, pins):
+        raise VerificationFailed("solver result is not a homomorphism respecting the pins")
     return found
 
 

@@ -2,10 +2,27 @@
 
 A k-ary polymorphism of h is a homomorphism from the k-th power of h back
 to h.  Identity constraints (WNU patterns, Siggers, total symmetry) merge
-power tuples into classes with a union-find and pin forced classes, turning
-each search into a homomorphism instance over the quotient.  Values on
-weakly connected components of the quotient are independent, so components
-are solved separately, smallest first.
+power tuples into classes and pin forced classes, turning each search into
+a homomorphism instance over the quotient (the indicator instance).  Values
+on weakly connected components of the quotient are independent, so
+components are solved separately.
+
+Searches never build the whole quotient.  `find_polymorphism` grows one
+component at a time by a breadth-first search over the implicit power
+digraph: out- and in-neighbour tuples come from precomputed half-tuple
+lists, merge partners from a table of the merge rules.  The components
+holding pinned tuples are built first, all of them, so that inconsistent
+pins surface before any solving; they are then solved smallest first (by
+class count, then smallest tuple), and the first refuted one ends the
+search.  Pinned components hold the diagonal, where idempotency makes
+refutations bite, so a refutation usually touches a small fraction of the
+power.  Only when every pinned component is solved are the remaining
+components built and solved, in the same order.  Classes are numbered by
+their smallest tuple, so every sub-instance, and hence every table found,
+is the one the full construction gives.
+
+`indicator` and `solve_indicator` build and solve the full quotient; they
+are the simple reference the lazy path is tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .algebra import (
     OperationTable,
@@ -23,7 +41,7 @@ from .algebra import (
     is_wnu,
 )
 from .digraph import Digraph
-from .errors import BudgetExceeded, InconsistentPins
+from .errors import BudgetExceeded, InconsistentPins, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
 DEFAULT_INDICATOR_BUDGET = 4_000_000
@@ -143,43 +161,60 @@ def _substitutions(variables: tuple[str, ...], ranges: dict[str, tuple[int, ...]
     return product(*domains)
 
 
+def _weights(pattern: Pattern, variables: tuple[str, ...], n: int) -> list[int]:
+    """Per-variable weights: a pattern's tuple index under a substitution is
+    the dot product of these with the substituted values."""
+    weights = [0] * len(variables)
+    for pos, sym in enumerate(pattern):
+        weights[variables.index(sym)] += n ** (len(pattern) - 1 - pos)
+    return weights
+
+
+def _merge_pairs(sys: IdentitySystem, n: int):
+    """Tuple-index pairs the system equates, in rule order."""
+    for pat_a, pat_b, ranges in sys.merges:
+        variables = tuple(sorted(set(pat_a) | set(pat_b)))
+        wa, wb = _weights(pat_a, variables, n), _weights(pat_b, variables, n)
+        for values in _substitutions(variables, dict(ranges), n):
+            yield sum(map(mul, wa, values)), sum(map(mul, wb, values))
+    for ta, tb in sys.raw_merges:
+        yield _tuple_index(ta, n), _tuple_index(tb, n)
+
+
+def _pin_targets(sys: IdentitySystem, n: int):
+    """(tuple index, forced value) per pin substitution, in rule order."""
+    for pattern, var, ranges in sys.pins:
+        variables = tuple(sorted(set(pattern)))
+        weights = _weights(pattern, variables, n)
+        at = variables.index(var)
+        for values in _substitutions(variables, dict(ranges), n):
+            yield sum(map(mul, weights, values)), values[at]
+
+
+def _tuple_count(n: int, k: int, budget: int) -> int:
+    total = n ** k
+    if total > budget:
+        raise BudgetExceeded(f"{total} indicator tuples exceed budget {budget}")
+    return total
+
+
 def indicator(h: Digraph, sys: IdentitySystem,
               budget: int = DEFAULT_INDICATOR_BUDGET) -> Indicator:
     """The homomorphism instance whose solutions are exactly the operations
     satisfying the identity system."""
     n = h.vertex_count
     k = sys.arity
-    total = n ** k
-    if total > budget:
-        raise BudgetExceeded(f"{total} indicator tuples exceed budget {budget}")
+    total = _tuple_count(n, k, budget)
     uf = _UnionFind(total)
-
-    def index_of(pattern: Pattern, sub: dict[str, int]) -> int:
-        idx = 0
-        for sym in pattern:
-            idx = idx * n + sub[sym]
-        return idx
-
-    for pat_a, pat_b, ranges in sys.merges:
-        variables = tuple(sorted(set(pat_a) | set(pat_b)))
-        rng = dict(ranges)
-        for values in _substitutions(variables, rng, n):
-            sub = dict(zip(variables, values))
-            uf.union(index_of(pat_a, sub), index_of(pat_b, sub))
-    for ta, tb in sys.raw_merges:
-        uf.union(_tuple_index(ta, n), _tuple_index(tb, n))
+    for i, j in _merge_pairs(sys, n):
+        uf.union(i, j)
 
     pinned: dict[int, int] = {}
-    for pattern, var, ranges in sys.pins:
-        variables = tuple(sorted(set(pattern)))
-        rng = dict(ranges)
-        for values in _substitutions(variables, rng, n):
-            sub = dict(zip(variables, values))
-            root = uf.find(index_of(pattern, sub))
-            val = sub[var]
-            if pinned.setdefault(root, val) != val:
-                raise InconsistentPins(
-                    f"class of tuple {root} pinned to both {pinned[root]} and {val}")
+    for t, val in _pin_targets(sys, n):
+        root = uf.find(t)
+        if pinned.setdefault(root, val) != val:
+            raise InconsistentPins(
+                f"class of tuple {root} pinned to both {pinned[root]} and {val}")
 
     class_of = [0] * total
     class_ids: dict[int, int] = {}
@@ -250,18 +285,27 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     where idempotency makes refutations bite), smallest first within.
     """
     inst = ind.instance
+    comps = _components(inst)
+    comp_of = [0] * inst.variable_count
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    owned: list[list] = [[] for _ in comps]
+    for con in inst.constraints:
+        owned[comp_of[con[0]]].append(con)
 
-    def no_pin(comp: list[int]) -> bool:
-        return all(inst.domains[v].bit_count() != 1 for v in comp)
+    def key(ci: int) -> tuple[bool, int, int]:
+        comp = comps[ci]
+        pinned = any(inst.domains[v].bit_count() == 1 for v in comp)
+        return (not pinned, len(comp), comp[0])
 
-    comps = sorted(_components(inst), key=lambda c: (no_pin(c), len(c), c[0]))
     assignment: list[int | None] = [None] * inst.variable_count
-    for comp in comps:
+    for ci in sorted(range(len(comps)), key=key):
+        comp = comps[ci]
         index = {v: i for i, v in enumerate(comp)}
         domains = tuple(inst.domains[v] for v in comp)
         constraints = tuple(
-            (index[u], index[v], rel, tag)
-            for u, v, rel, tag in inst.constraints if u in index)
+            (index[u], index[v], rel, tag) for u, v, rel, tag in owned[ci])
         sub = CspInstance(inst.domain_size, domains, constraints)
         found = solve_instance(sub, node_budget)
         if found is None:
@@ -271,20 +315,176 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     return tuple(assignment)  # type: ignore[arg-type]
 
 
-def _table_from_assignment(ind: Indicator, assignment: tuple[int, ...]) -> OperationTable:
-    values = tuple(assignment[c] for c in ind.class_of)
-    return OperationTable(ind.base, ind.arity, values)
+def _power_step(nbrs: tuple[tuple[int, ...], ...], n: int, k: int):
+    """Neighbours in the k-th power, by tuple index.
+
+    An index splits into its first k // 2 coordinates and the rest; the
+    neighbours are all sums of a neighbour of each half, read from per-half
+    lists (the products of the per-coordinate neighbour lists).
+    """
+    def halves(m: int, scale: int) -> list[list[int]]:
+        lists = [[0]]
+        for _ in range(m):
+            lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
+                     for p in range(len(lists)) for c in range(n)]
+        return [[q * scale for q in qs] for qs in lists]
+
+    split = n ** (k - k // 2)
+    highs, lows = halves(k // 2, split), halves(k - k // 2, 1)
+
+    def step(t: int) -> list[int]:
+        hi, lo = divmod(t, split)
+        low = lows[lo]
+        return [a + b for a in highs[hi] for b in low]
+    return step
 
 
-def _search(h: Digraph, sys: IdentitySystem, predicate,
-            budget: int, node_budget: int | None) -> OperationTable | None:
-    ind = indicator(h, sys, budget)
-    assignment = solve_indicator(ind, node_budget)
-    if assignment is None:
+class _Component:
+    """One weakly connected component of the quotient, with its classes
+    numbered by smallest tuple."""
+
+    __slots__ = ("class_of", "heads", "domains")
+
+    def __init__(self, class_of: dict[int, int], heads: list[int], domains: list[int]):
+        self.class_of = class_of  # tuple -> class
+        self.heads = heads        # smallest tuple of each class, ascending
+        self.domains = domains    # per class
+
+    def order(self) -> tuple[int, int]:
+        return (len(self.heads), self.heads[0])
+
+
+class _LazyIndicator:
+    """The indicator instance of h and an identity system, built one
+    component at a time."""
+
+    def __init__(self, h: Digraph, sys: IdentitySystem, budget: int):
+        n = self.n = h.vertex_count
+        self.total = _tuple_count(n, sys.arity, budget)
+        self.sys = sys
+        self.partners: dict[int, list[int]] = {}
+        for i, j in _merge_pairs(sys, n):
+            if i != j:
+                self.partners.setdefault(i, []).append(j)
+                self.partners.setdefault(j, []).append(i)
+        self.out = _power_step(h.out_neighbors, n, sys.arity)
+        self.into = _power_step(h.in_neighbors, n, sys.arity)
+        self.rel = edge_relation(h)
+        self.seen = bytearray(self.total)
+
+    def close(self, start: int) -> _Component:
+        """The unvisited component of `start`, over power edges both ways and
+        merges, with unrestricted domains."""
+        out, into, partners, seen = self.out, self.into, self.partners, self.seen
+        tuples = [start]
+        seen[start] = 1
+        for t in tuples:  # the loop also visits the tuples it appends
+            for w in out(t) + into(t) + partners.get(t, []):
+                if not seen[w]:
+                    seen[w] = 1
+                    tuples.append(w)
+        tuples.sort()
+        class_of: dict[int, int] = {}
+        heads: list[int] = []
+        for t in tuples:
+            if t in class_of:
+                continue
+            c = len(heads)
+            heads.append(t)
+            class_of[t] = c
+            stack = [t]
+            while stack:
+                for w in partners.get(stack.pop(), ()):
+                    if w not in class_of:
+                        class_of[w] = c
+                        stack.append(w)
+        return _Component(class_of, heads, [(1 << self.n) - 1] * len(heads))
+
+    def pinned_components(self) -> list[_Component]:
+        """Every component holding a pinned tuple, pins applied; raises
+        InconsistentPins before any of them could be solved."""
+        pins = list(_pin_targets(self.sys, self.n))
+        comps: list[_Component] = []
+        where = dict.fromkeys((t for t, _ in pins), -1)  # tuple -> component
+        for start, _ in pins:
+            if not self.seen[start]:
+                comp = self.close(start)
+                for t in comp.class_of:
+                    if t in where:
+                        where[t] = len(comps)
+                comps.append(comp)
+        forced: dict[tuple[int, int], int] = {}
+        for t, val in pins:
+            comp = comps[where[t]]
+            cls = (where[t], comp.class_of[t])
+            if forced.setdefault(cls, val) != val:
+                raise InconsistentPins(f"class of tuple {comp.heads[cls[1]]} pinned "
+                                       f"to both {forced[cls]} and {val}")
+        for (ci, c), val in forced.items():
+            comps[ci].domains[c] = 1 << val
+        return comps
+
+    def remaining_components(self) -> list[_Component]:
+        comps = []
+        start = self.seen.find(0)
+        while start >= 0:
+            comps.append(self.close(start))
+            start = self.seen.find(0, start + 1)
+        return comps
+
+    def instance(self, comp: _Component) -> CspInstance:
+        class_of, out = comp.class_of, self.out
+        pairs = set()
+        for t, ct in class_of.items():
+            for w in out(t):
+                pairs.add((ct, class_of[w]))
+        constraints = tuple((u, v, self.rel, "power edge") for u, v in sorted(pairs))
+        return CspInstance(self.n, tuple(comp.domains), constraints)
+
+
+def _solve_in_order(lazy: _LazyIndicator, comps: list[_Component],
+                    node_budget: int | None, solved: list) -> bool:
+    """Solve smallest first, appending (component, assignment) to `solved`;
+    False at the first refuted component."""
+    for comp in sorted(comps, key=_Component.order):
+        found = solve_instance(lazy.instance(comp), node_budget)
+        if found is None:
+            return False
+        solved.append((comp, found))
+    return True
+
+
+def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
+                  node_budget: int | None) -> tuple[int, ...] | None:
+    """The table values `solve_indicator(indicator(h, sys))` gives, or None."""
+    lazy = _LazyIndicator(h, sys, budget)
+    solved: list[tuple[_Component, tuple[int, ...]]] = []
+    if not (_solve_in_order(lazy, lazy.pinned_components(), node_budget, solved)
+            and _solve_in_order(lazy, lazy.remaining_components(), node_budget, solved)):
         return None
-    table = _table_from_assignment(ind, assignment)
-    assert is_polymorphism(h, table)
-    assert predicate(table)
+    values = [0] * lazy.total
+    for comp, found in solved:
+        for t, c in comp.class_of.items():
+            values[t] = found[c]
+    return tuple(values)
+
+
+def find_polymorphism(h: Digraph, sys: IdentitySystem, predicate=None,
+                      budget: int = DEFAULT_INDICATOR_BUDGET,
+                      node_budget: int | None = None) -> OperationTable | None:
+    """A polymorphism of h satisfying the identity system, or None (exhaustive).
+
+    A found table is re-checked to be a polymorphism and, when `predicate`
+    is given, to satisfy it; a failed re-check raises VerificationFailed.
+    """
+    values = _solve_lazily(h, sys, budget, node_budget)
+    if values is None:
+        return None
+    table = OperationTable(h.vertex_count, sys.arity, values)
+    if not is_polymorphism(h, table):
+        raise VerificationFailed("found table is not a polymorphism of the target")
+    if predicate is not None and not predicate(table):
+        raise VerificationFailed(f"found table fails {predicate.__name__}")
     return table
 
 
@@ -293,7 +493,7 @@ def find_wnu(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
     """A verified k-ary idempotent WNU polymorphism, or None (exhaustive)."""
     if k < 2:
         raise ValueError("WNU arity must be at least 2")
-    return _search(h, wnu_system(k), is_wnu, budget, node_budget)
+    return find_polymorphism(h, wnu_system(k), is_wnu, budget, node_budget)
 
 
 def find_wnu_on_top_bottom(h: Digraph, k: int, a_set, b_set,
@@ -301,18 +501,12 @@ def find_wnu_on_top_bottom(h: Digraph, k: int, a_set, b_set,
                            node_budget: int | None = None) -> OperationTable | None:
     """An idempotent polymorphism that restricts to WNUs on both given sets."""
     sys = wnu_on_sets_system(k, [tuple(sorted(a_set)), tuple(sorted(b_set))])
-    ind = indicator(h, sys, budget)
-    assignment = solve_indicator(ind, node_budget)
-    if assignment is None:
-        return None
-    table = _table_from_assignment(ind, assignment)
-    assert is_polymorphism(h, table)
-    return table
+    return find_polymorphism(h, sys, None, budget, node_budget)
 
 
 def find_majority(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,
                   node_budget: int | None = None) -> OperationTable | None:
-    return _search(h, majority_system(), is_majority, budget, node_budget)
+    return find_polymorphism(h, majority_system(), is_majority, budget, node_budget)
 
 
 def find_siggers(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,
@@ -322,7 +516,7 @@ def find_siggers(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,
     Presence certifies a Taylor polymorphism algebra; absence on a core
     certifies the opposite.
     """
-    return _search(h, siggers_system(), is_siggers, budget, node_budget)
+    return find_polymorphism(h, siggers_system(), is_siggers, budget, node_budget)
 
 
 def find_tsi(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
@@ -330,4 +524,5 @@ def find_tsi(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
     """A k-ary totally symmetric idempotent polymorphism, or None."""
     if k < 1:
         raise ValueError("arity must be positive")
-    return _search(h, tsi_system(k, h.vertex_count), is_tsi, budget, node_budget)
+    _tuple_count(h.vertex_count, k, budget)  # tsi_system enumerates every tuple
+    return find_polymorphism(h, tsi_system(k, h.vertex_count), is_tsi, budget, node_budget)

@@ -1,14 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line.  The long triad refutation is marked
-slow and excluded from the desk-scale gate (run with `pytest -m slow`).
+Each test prints one PASS/FAIL line.
 """
 
 import random
 import time
 from itertools import product
-
-import pytest
 
 from corpus import random_digraph, random_special_trees, random_tree_like
 from hcolor.algebra import (
@@ -193,7 +190,6 @@ def test_c8_bounded_width_operational():
     report(8, "pair consistency decides on bounded-width trees", ok, elapsed, 600.0)
 
 
-@pytest.mark.slow
 def test_c9_triad_refutation():
     t0 = time.perf_counter()
     rep = classify_special_tree(canned_triad())

@@ -85,6 +85,12 @@ class TestPoly:
         assert main(["poly", "--target", edge_file, "--kind", "siggers",
                      "--budget-indicator", "2"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--budget-indicator", "--budget-power"])
+    def test_zero_budget_rejected(self, edge_file, flag, capsys):
+        # a zero budget is bad input, not a request for the default
+        assert main(["poly", "--target", edge_file, "--kind", "siggers", flag, "0"]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_single_edge(self, tmp_path, capsys):

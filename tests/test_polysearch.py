@@ -1,10 +1,18 @@
+import os
 import random
-from itertools import product
+import subprocess
+import sys
+import textwrap
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+from corpus import random_special_trees
+from hcolor import polysearch
 from hcolor.algebra import (
     OperationTable,
+    format_op,
     is_majority,
     is_polymorphism,
     is_siggers,
@@ -12,18 +20,25 @@ from hcolor.algebra import (
     is_wnu,
 )
 from hcolor.digraph import Digraph
-from hcolor.errors import BudgetExceeded
+from hcolor.errors import BudgetExceeded, InconsistentPins
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import (
+    IdentitySystem,
     find_majority,
+    find_polymorphism,
     find_siggers,
     find_tsi,
     find_wnu,
     find_wnu_on_top_bottom,
     indicator,
+    majority_system,
+    siggers_system,
     solve_indicator,
+    tsi_system,
+    wnu_on_sets_system,
     wnu_system,
 )
+from hcolor.spectree import canned_triad, compile_tree
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 TRIANGLE = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
@@ -135,6 +150,11 @@ class TestFindTsi:
         assert t is not None
         assert t.values == (0, 1)
 
+    def test_budget_checked_before_enumerating_tuples(self, monkeypatch):
+        monkeypatch.setattr(polysearch, "tsi_system", None)  # any use fails
+        with pytest.raises(BudgetExceeded):
+            find_tsi(TRIANGLE, 4, budget=80)
+
     def test_triangle_binary_none(self):
         assert find_tsi(TRIANGLE, 2) is None
         # independent oracle: enumerate all 3^9 binary tables
@@ -211,3 +231,163 @@ class TestExhaustiveAgreement:
                 assert (find_wnu(h, k) is not None) == brute_force_exists(h, k, is_wnu)
             assert (find_majority(h) is not None) == brute_force_exists(h, 3, is_majority)
             assert (find_tsi(h, 2) is not None) == brute_force_exists(h, 2, is_tsi)
+
+
+def loopless_digraphs_up_to_iso(n: int) -> list[Digraph]:
+    """One digraph per isomorphism class of loopless digraphs on n vertices."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    bit = {arc: 1 << i for i, arc in enumerate(arcs)}
+    perms = list(permutations(range(n)))
+    seen: set[int] = set()
+    graphs = []
+    for mask in range(1 << len(arcs)):
+        if mask in seen:
+            continue
+        chosen = [arc for arc in arcs if mask & bit[arc]]
+        for p in perms:
+            seen.add(sum(bit[(p[u], p[v])] for u, v in chosen))
+        graphs.append(Digraph.from_edges(n, chosen))
+    return graphs
+
+
+def reference_search(h, sys, budget=polysearch.DEFAULT_INDICATOR_BUDGET, node_budget=None):
+    """The full indicator, split and solved component by component."""
+    ind = indicator(h, sys, budget)
+    found = solve_indicator(ind, node_budget)
+    if found is None:
+        return None
+    return OperationTable(ind.base, ind.arity, tuple(found[c] for c in ind.class_of))
+
+
+def outcome(search, *args, **kwargs):
+    """`.op` text of the table found, None, or the (type, message) raised."""
+    try:
+        table = search(*args, **kwargs)
+    except (BudgetExceeded, InconsistentPins) as exc:
+        return type(exc).__name__, str(exc)
+    return None if table is None else format_op(table)
+
+
+DENSE_SYSTEMS = {
+    "wnu2": lambda h: wnu_system(2),
+    "wnu3": lambda h: wnu_system(3),
+    "majority": lambda h: majority_system(),
+    "siggers": lambda h: siggers_system(),
+    "tsi2": lambda h: tsi_system(2, h.vertex_count),
+}
+
+
+class TestLazyMatchesFullIndicator:
+    """The lazy path against the full indicator it replaces."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        graphs = loopless_digraphs_up_to_iso(4)
+        assert len(graphs) == 218
+        return graphs
+
+    @pytest.mark.parametrize("kind", sorted(DENSE_SYSTEMS))
+    def test_loopless_four_vertex_digraphs(self, graphs, kind):
+        for h in graphs:
+            sys_ = DENSE_SYSTEMS[kind](h)
+            assert outcome(find_polymorphism, h, sys_) == outcome(reference_search, h, sys_), \
+                (kind, sorted(h.edges))
+
+    def test_node_budgets(self, graphs):
+        # budget exhaustion and refutation must win in the same component
+        # order; a zero budget is where that order shows
+        for i, h in enumerate(graphs):
+            for kind, make in DENSE_SYSTEMS.items():
+                for nodes in (0, 1, 3) if i % 7 == 0 else (0,):
+                    sys_ = make(h)
+                    got = outcome(find_polymorphism, h, sys_, node_budget=nodes)
+                    want = outcome(reference_search, h, sys_, node_budget=nodes)
+                    assert got == want, (kind, nodes, sorted(h.edges))
+
+    def test_top_bottom_wnu_on_corpus_trees(self):
+        for spec in random_special_trees(25):
+            tree = compile_tree(spec)
+            sys_ = wnu_on_sets_system(3, [tuple(sorted(tree.a_vertices)),
+                                          tuple(sorted(tree.b_vertices))])
+            got = outcome(find_polymorphism, tree.digraph, sys_)
+            assert got == outcome(reference_search, tree.digraph, sys_)
+
+    @pytest.mark.parametrize("sys_", [
+        IdentitySystem(2, (), ((("x", "y"), "x", ()), (("x", "y"), "y", ()))),
+        # the conflict appears only through the commutativity merge
+        IdentitySystem(2, wnu_system(2).merges, ((("x", "y"), "x", ()),)),
+    ])
+    def test_inconsistent_pins(self, sys_):
+        for h in (EDGE, TRIANGLE):
+            got = outcome(find_polymorphism, h, sys_)
+            assert got[0] == "InconsistentPins"
+            assert got == outcome(reference_search, h, sys_)
+
+    def test_inconsistent_pins_before_any_solve(self, monkeypatch):
+        def no_solving(*args):
+            raise AssertionError("a component was solved")
+
+        monkeypatch.setattr(polysearch, "solve_instance", no_solving)
+        sys_ = IdentitySystem(2, wnu_system(2).merges, ((("x", "y"), "x", ()),))
+        with pytest.raises(InconsistentPins):
+            find_polymorphism(TRIANGLE, sys_)
+
+    def test_tuple_budget_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
+        with pytest.raises(BudgetExceeded):
+            find_polymorphism(TRIANGLE, siggers_system(), budget=80)
+        monkeypatch.undo()
+        assert outcome(find_polymorphism, TRIANGLE, siggers_system(), budget=81) is None
+
+    def test_triad_refutation_explores_pinned_component_only(self, monkeypatch):
+        solved = []
+        solve = polysearch.solve_instance
+
+        def counting(inst, node_budget=None):
+            solved.append(inst.variable_count)
+            return solve(inst, node_budget)
+
+        monkeypatch.setattr(polysearch, "solve_instance", counting)
+        assert find_siggers(compile_tree(canned_triad()).digraph) is None
+        # the pinned component has 33,843 of the 2,254,161 classes
+        assert 0 < sum(solved) <= 40_000
+
+
+CORRUPTED_SOLVERS = """
+    import sys
+    from hcolor import homsolver, polysearch
+    from hcolor.digraph import Digraph
+    from hcolor.errors import VerificationFailed
+
+    assert sys.flags.optimize, "run under python -O"
+    edge = Digraph.from_edges(2, [(0, 1)])
+
+    def expect_failure(run):
+        try:
+            run()
+        except VerificationFailed as exc:
+            print("caught:", exc)
+        else:
+            print("not caught")
+
+    solve_instance = homsolver.solve_instance
+    homsolver._search = lambda domains, inst, counter: [1] * len(domains)
+    expect_failure(lambda: homsolver.solve_hom(edge, edge))
+    polysearch.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
+    expect_failure(lambda: polysearch.find_wnu(edge, 3))
+    polysearch.solve_instance = solve_instance
+    polysearch.is_wnu = lambda table: False
+    expect_failure(lambda: polysearch.find_wnu(edge, 3))
+"""
+
+
+def test_verification_survives_optimized_mode():
+    # a corrupted solver result must be caught even with asserts stripped
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(CORRUPTED_SOLVERS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("caught:") for line in lines), proc.stdout
