@@ -32,6 +32,7 @@ from .errors import (
     HcolorError,
     NoneFound,
     NotBalanced,
+    VerificationFailed,
 )
 from .homsolver import is_homomorphism, solve_hom
 from .polysearch import (
@@ -87,6 +88,11 @@ def _level_groups(g: Digraph) -> list[int] | None:
         return None
 
 
+def _check_hom(x: Digraph, h: Digraph, mapping: tuple[int, ...], what: str) -> None:
+    if not is_homomorphism(x, h, mapping):
+        raise VerificationFailed(f"core step: {what} is not a homomorphism")
+
+
 def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...] | None:
     """An endomorphism identifying some vertex pair, or None.
 
@@ -102,7 +108,7 @@ def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...]
             hom = solve_hom(q, g, node_budget=node_budget)
             if hom is not None:
                 endo = tuple(hom[mapping[w]] for w in range(g.vertex_count))
-                assert is_homomorphism(g, g, endo)
+                _check_hom(g, g, endo, "endomorphism")
                 return endo
     return None
 
@@ -136,7 +142,8 @@ def _idempotent_power(endo: tuple[int, ...]) -> tuple[int, ...]:
     r = list(range(n))
     for _ in range(d):
         r = [f[x] for x in r]
-    assert all(r[r[x]] == r[x] for x in range(n))
+    if any(r[r[x]] != r[x] for x in range(n)):
+        raise VerificationFailed("core step: power of the endomorphism is not idempotent")
     return tuple(r)
 
 
@@ -155,16 +162,18 @@ def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
         if endo is None:
             break
         retr = _idempotent_power(endo)
-        assert is_homomorphism(current, current, retr)
+        _check_hom(current, current, retr, "retraction")
         image = sorted(set(retr))
+        if len(image) == current.vertex_count:
+            raise VerificationFailed("core step: retraction is onto")
         relabel = {w: i for i, w in enumerate(image)}
         edges = {(relabel[a], relabel[b]) for a, b in current.edges
                  if a in relabel and b in relabel}
         current = Digraph.from_edges(len(image), edges)
         overall = tuple(relabel[retr[w]] for w in overall)
         embedding = tuple(embedding[w] for w in image)
-    assert is_homomorphism(g, current, overall)
-    assert is_homomorphism(current, g, embedding)
+    _check_hom(g, current, overall, "map onto the core")
+    _check_hom(current, g, embedding, "core embedding")
     return CoreResult(current, overall, embedding)
 
 

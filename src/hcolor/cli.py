@@ -60,7 +60,6 @@ class RunConfig:
     power_budget: int = DEFAULT_POWER_BUDGET
     wall_budget: float | None = None
     json_out: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         for name in ("indicator_budget", "power_budget"):
@@ -68,8 +67,6 @@ class RunConfig:
                 raise HcolorError(f"{name} must be positive")
         if self.node_budget is not None and self.node_budget < 0:
             raise HcolorError("node budget must be nonnegative")
-        if self.threads < 1:
-            raise HcolorError("thread count must be positive")
 
 
 def _given_or(value, default):
@@ -85,7 +82,6 @@ def _config(args) -> RunConfig:
         power_budget=_given_or(getattr(args, "budget_power", None), DEFAULT_POWER_BUDGET),
         wall_budget=getattr(args, "budget_wall", None),
         json_out=getattr(args, "json", None),
-        threads=getattr(args, "threads", 1),
     )
 
 
@@ -115,7 +111,10 @@ def _parse_pins(items) -> dict[int, int]:
     pins = {}
     for item in items or []:
         var, _, val = item.partition("=")
-        pins[int(var)] = int(val)
+        try:
+            pins[int(var)] = int(val)
+        except ValueError:
+            raise HcolorError(f"bad pin {item!r}, expected VAR=VAL") from None
     return pins
 
 
@@ -155,13 +154,13 @@ def _cmd_poly(args) -> int:
     h = read_dg(args.target)
     kind = args.kind
     if kind == "wnu":
-        table = find_wnu(h, args.arity or 3, cfg.indicator_budget, cfg.node_budget)
+        table = find_wnu(h, _given_or(args.arity, 3), cfg.indicator_budget, cfg.node_budget)
     elif kind == "majority":
         table = find_majority(h, cfg.indicator_budget, cfg.node_budget)
     elif kind == "siggers":
         table = find_siggers(h, cfg.indicator_budget, cfg.node_budget)
     else:
-        table = find_tsi(h, args.arity or 2, cfg.indicator_budget, cfg.node_budget)
+        table = find_tsi(h, _given_or(args.arity, 2), cfg.indicator_budget, cfg.node_budget)
     if table is None:
         print(f"no {kind} polymorphism")
         return EXIT_NONE
@@ -248,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-power", type=int, default=None)
         if wall:
             p.add_argument("--budget-wall", type=float, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("build", help="compile a tree template to a digraph")
     p.add_argument("--tree", required=True)

@@ -73,7 +73,7 @@ class DistanceNotUniform(HcolorError):
 
 
 class InvalidParams(HcolorError):
-    """Generator parameters are out of range."""
+    """Generator or search parameters are out of range."""
 
 
 class InvalidFormat(HcolorError):

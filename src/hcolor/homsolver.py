@@ -1,9 +1,12 @@
 """Homomorphism decisions between digraphs.
 
-Variables carry bitmask domains over target vertices.  Binary constraints
-share one Relation object per allowed-pair set, so instances built from an
-edge relation stay small.  Everything is deterministic: fixed variable order
-(smallest domain, lowest index) and ascending value order.
+Variables carry bitmask domains over target vertices.  An instance has one
+binary relation (the target's edge relation) and its constraints are bare
+(u, v) variable pairs, each asking for (value of u, value of v) in that
+relation.  Arc consistency queues variables, not pairs, and filters a
+popped variable's neighbours through the relation's memoized images and
+preimages.  Everything is deterministic: fixed variable order (smallest
+domain, lowest index) and ascending value order.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class Relation:
                 mask |= 1 << a
         return mask
 
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((a, b) for a in range(self.size) for b in _bits(self.fwd[a]))
-
 
 def edge_relation(h: Digraph) -> Relation:
     return Relation.from_pairs(h.vertex_count, h.edges_sorted)
@@ -83,20 +83,24 @@ def edge_relation(h: Digraph) -> Relation:
 
 @dataclass(frozen=True)
 class CspInstance:
-    """Variables with vertex-subset domains plus binary constraints."""
+    """Variables with vertex-subset domains; every constraint pair (u, v)
+    requires (value of u, value of v) in the one relation."""
 
     domain_size: int
     domains: tuple[int, ...]
-    constraints: tuple[tuple[int, int, Relation, str], ...]
+    relation: Relation
+    constraints: tuple[tuple[int, int], ...]
 
     @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(len(self.domains))]
-        for ci, (u, v, _, _) in enumerate(self.constraints):
-            inc[u].append(ci)
-            if v != u:
-                inc[v].append(ci)
-        return tuple(tuple(c) for c in inc)
+    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Successors and predecessors of each variable, self-loops left out."""
+        succs: list[list[int]] = [[] for _ in self.domains]
+        preds: list[list[int]] = [[] for _ in self.domains]
+        for u, v in self.constraints:
+            if u != v:
+                succs[u].append(v)
+                preds[v].append(u)
+        return tuple(map(tuple, succs)), tuple(map(tuple, preds))
 
     @property
     def variable_count(self) -> int:
@@ -104,7 +108,7 @@ class CspInstance:
 
 
 def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -> CspInstance:
-    """One variable per x-vertex, full target domains, one constraint per x-edge."""
+    """One variable per x-vertex, full target domains, one pair per x-edge."""
     full = (1 << h.vertex_count) - 1
     domains = [full] * x.vertex_count
     for var, val in (pins or {}).items():
@@ -113,67 +117,57 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
         if not (0 <= val < h.vertex_count):
             raise InvalidPin(f"pin value {val} out of range")
         domains[var] &= 1 << val
-    rel = edge_relation(h)
-    constraints = tuple(
-        (u, v, rel, f"edge {u}->{v}") for u, v in x.edges_sorted)
-    return CspInstance(h.vertex_count, tuple(domains), constraints)
+    return CspInstance(h.vertex_count, tuple(domains), edge_relation(h), x.edges_sorted)
 
 
 def _ac_fixpoint(domains: list[int], inst: CspInstance,
                  dirty: list[int] | None = None) -> bool:
-    """Worklist support filtering in place; False when a domain empties.
+    """Arc consistency in place, queueing variables; False when a domain empties.
 
-    With `dirty` given, only constraints touching those variables seed the
-    worklist (the rest are assumed already consistent).  A revise looks its
-    masks up in the relation's memos; searches revisit few distinct domain
-    masks, so the memos stay small.
+    A popped variable x filters each successor to the image of its domain
+    and each predecessor to the preimage, both looked up in the relation's
+    memos (searches revisit few distinct domain masks, so the memos stay
+    small); a variable whose domain shrinks is queued again.  With `dirty`
+    given, only those variables seed the queue (the rest are assumed
+    already consistent).
     """
-    cons = inst.constraints
+    rel = inst.relation
     if dirty is None:
-        # self-loop constraints reduce to a unary filter, applied once here;
+        # self-loop pairs reduce to a unary filter, applied once here;
         # incremental calls start from an already filtered state
-        for u, v, rel, _ in cons:
+        for u, v in inst.constraints:
             if u == v:
                 domains[u] &= rel.diagonal
                 if not domains[u]:
                     return False
-        queue = deque(range(len(cons)))
-        queued = [True] * len(cons)
-    else:
-        queued = [False] * len(cons)
-        queue = deque()
-        for var in dirty:
-            for ci in inst.incident[var]:
-                if not queued[ci]:
-                    queued[ci] = True
-                    queue.append(ci)
-    last = None
+        dirty = range(len(domains))
+    succs, preds = inst.adjacency
+    sides = ((succs, rel.images, rel.image), (preds, rel.preimages, rel.preimage))
+    queue = deque(dirty)
+    queued = bytearray(len(domains))
+    for x in queue:
+        queued[x] = 1
     while queue:
-        ci = queue.popleft()
-        queued[ci] = False
-        u, v, rel, _ = cons[ci]
-        if u == v:
-            continue
-        if rel is not last:
-            last, preimages, images = rel, rel.preimages, rel.images
-        du, dv = domains[u], domains[v]
-        support = preimages.get(dv)
-        if support is None:
-            support = preimages[dv] = rel.preimage(dv)
-        new_u = du & support
-        support = images.get(new_u)
-        if support is None:
-            support = images[new_u] = rel.image(new_u)
-        new_v = dv & support
-        if not new_u or not new_v:
-            return False
-        for var, new, old in ((u, new_u, du), (v, new_v, dv)):
-            if new != old:
-                domains[var] = new
-                for cj in inst.incident[var]:
-                    if not queued[cj]:
-                        queued[cj] = True
-                        queue.append(cj)
+        x = queue.popleft()
+        queued[x] = 0
+        dx = domains[x]
+        for side, memo, close in sides:
+            nbrs = side[x]
+            if not nbrs:
+                continue
+            support = memo.get(dx)
+            if support is None:
+                support = memo[dx] = close(dx)
+            for y in nbrs:
+                dy = domains[y]
+                if dy & ~support:
+                    dy &= support
+                    if not dy:
+                        return False
+                    domains[y] = dy
+                    if not queued[y]:
+                        queued[y] = 1
+                        queue.append(y)
     return True
 
 
@@ -187,7 +181,7 @@ def arc_consistency(inst: CspInstance) -> CspInstance | None:
         return None
     if not _ac_fixpoint(domains, inst):
         return None
-    return CspInstance(inst.domain_size, tuple(domains), inst.constraints)
+    return CspInstance(inst.domain_size, tuple(domains), inst.relation, inst.constraints)
 
 
 class _NodeCounter:
@@ -250,9 +244,10 @@ def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[i
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)
-    for u, v, rel, tag in inst.constraints:
-        if not rel.fwd[assignment[u]] >> assignment[v] & 1:
-            raise VerificationFailed(f"solver result violates constraint {tag}")
+    fwd = inst.relation.fwd
+    for u, v in inst.constraints:
+        if not fwd[assignment[u]] >> assignment[v] & 1:
+            raise VerificationFailed(f"solver result violates constraint {u}->{v}")
     return assignment
 
 
@@ -313,8 +308,9 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
     soundly refutes the instance.
     """
     n = len(inst.domains)
+    rel = inst.relation
     domains = list(inst.domains)
-    for u, v, rel, _ in inst.constraints:
+    for u, v in inst.constraints:
         if u == v:
             domains[u] &= rel.diagonal
     if any(d == 0 for d in domains):
@@ -328,7 +324,7 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
             if u != v:
                 rows[(u, v)] = [domains[v] if domains[u] >> a & 1 else 0
                                 for a in range(inst.domain_size)]
-    for u, v, rel, _ in inst.constraints:
+    for u, v in inst.constraints:
         if u == v:
             continue
         ru, rv = rows[(u, v)], rows[(v, u)]

@@ -41,7 +41,7 @@ from .algebra import (
     is_wnu,
 )
 from .digraph import Digraph
-from .errors import BudgetExceeded, InconsistentPins, VerificationFailed
+from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
 DEFAULT_INDICATOR_BUDGET = 4_000_000
@@ -230,7 +230,6 @@ def indicator(h: Digraph, sys: IdentitySystem,
     for root, val in pinned.items():
         domains[class_ids[root]] = 1 << val
 
-    rel = edge_relation(h)
     pairs: set[tuple[int, int]] = set()
     for combo in product(h.edges_sorted, repeat=k) if h.edges else ():
         tail = 0
@@ -239,8 +238,7 @@ def indicator(h: Digraph, sys: IdentitySystem,
             tail = tail * n + u
             head = head * n + v
         pairs.add((class_of[tail], class_of[head]))
-    constraints = tuple((u, v, rel, "power edge") for u, v in sorted(pairs))
-    inst = CspInstance(n, tuple(domains), constraints)
+    inst = CspInstance(n, tuple(domains), edge_relation(h), tuple(sorted(pairs)))
     return Indicator(inst, tuple(class_of), k, n)
 
 
@@ -253,11 +251,7 @@ def _tuple_index(tup: tuple[int, ...], n: int) -> int:
 
 def _components(inst: CspInstance) -> list[list[int]]:
     nvars = inst.variable_count
-    adj: list[list[int]] = [[] for _ in range(nvars)]
-    for u, v, _, _ in inst.constraints:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+    succs, preds = inst.adjacency
     seen = [False] * nvars
     comps = []
     for start in range(nvars):
@@ -268,7 +262,7 @@ def _components(inst: CspInstance) -> list[list[int]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in succs[u] + preds[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -290,7 +284,7 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    owned: list[list] = [[] for _ in comps]
+    owned: list[list[tuple[int, int]]] = [[] for _ in comps]
     for con in inst.constraints:
         owned[comp_of[con[0]]].append(con)
 
@@ -304,9 +298,8 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
         comp = comps[ci]
         index = {v: i for i, v in enumerate(comp)}
         domains = tuple(inst.domains[v] for v in comp)
-        constraints = tuple(
-            (index[u], index[v], rel, tag) for u, v, rel, tag in owned[ci])
-        sub = CspInstance(inst.domain_size, domains, constraints)
+        constraints = tuple((index[u], index[v]) for u, v in owned[ci])
+        sub = CspInstance(inst.domain_size, domains, inst.relation, constraints)
         found = solve_instance(sub, node_budget)
         if found is None:
             return None
@@ -438,8 +431,7 @@ class _LazyIndicator:
         for t, ct in class_of.items():
             for w in out(t):
                 pairs.add((ct, class_of[w]))
-        constraints = tuple((u, v, self.rel, "power edge") for u, v in sorted(pairs))
-        return CspInstance(self.n, tuple(comp.domains), constraints)
+        return CspInstance(self.n, tuple(comp.domains), self.rel, tuple(sorted(pairs)))
 
 
 def _solve_in_order(lazy: _LazyIndicator, comps: list[_Component],
@@ -492,7 +484,7 @@ def find_wnu(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
              node_budget: int | None = None) -> OperationTable | None:
     """A verified k-ary idempotent WNU polymorphism, or None (exhaustive)."""
     if k < 2:
-        raise ValueError("WNU arity must be at least 2")
+        raise InvalidParams("WNU arity must be at least 2")
     return find_polymorphism(h, wnu_system(k), is_wnu, budget, node_budget)
 
 
@@ -523,6 +515,6 @@ def find_tsi(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
              node_budget: int | None = None) -> OperationTable | None:
     """A k-ary totally symmetric idempotent polymorphism, or None."""
     if k < 1:
-        raise ValueError("arity must be positive")
+        raise InvalidParams("TSI arity must be at least 1")
     _tuple_count(h.vertex_count, k, budget)  # tsi_system enumerates every tuple
     return find_polymorphism(h, tsi_system(k, h.vertex_count), is_tsi, budget, node_budget)

@@ -58,6 +58,12 @@ class TestSolve:
         assert main(["solve", "--input", edge_file, "--target", edge_file,
                      "--pin", "0=1"]) == 1
 
+    @pytest.mark.parametrize("pin", ["abc", "0", "x=1", "0=y"])
+    def test_bad_pin(self, edge_file, pin, capsys):
+        assert main(["solve", "--input", edge_file, "--target", edge_file,
+                     "--pin", pin]) == 2
+        assert "bad pin" in capsys.readouterr().err
+
     def test_missing_file(self, edge_file):
         assert main(["solve", "--input", "/nonexistent.dg",
                      "--target", edge_file]) == 2
@@ -90,6 +96,12 @@ class TestPoly:
         # a zero budget is bad input, not a request for the default
         assert main(["poly", "--target", edge_file, "--kind", "siggers", flag, "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, arity", [("wnu", "1"), ("wnu", "0"), ("tsi", "0")])
+    def test_bad_arity(self, edge_file, kind, arity, capsys):
+        # a zero arity is bad input, not a request for the default
+        assert main(["poly", "--target", edge_file, "--kind", kind, "--arity", arity]) == 2
+        assert "arity must be at least" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from hcolor.digraph import Digraph
 from hcolor.errors import BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
+    _ac_fixpoint,
     arc_consistency,
     build_instance,
     consistency_23,
@@ -69,6 +71,72 @@ class TestArcConsistency:
                 for hom in homs:
                     for var, val in enumerate(hom):
                         assert reduced.domains[var] >> val & 1
+
+
+def reference_ac(inst):
+    """Arc consistency by plain sweeps: every pair revised both ways until
+    nothing changes; None when a domain empties."""
+    fwd, rev = inst.relation.fwd, inst.relation.rev
+    values = range(inst.domain_size)
+    doms = list(inst.domains)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in inst.constraints:
+            if u == v:
+                keep_u = sum(1 << a for a in values if doms[u] >> a & 1 and fwd[a] >> a & 1)
+                keep_v = keep_u
+            else:
+                keep_u = sum(1 << a for a in values if doms[u] >> a & 1 and fwd[a] & doms[v])
+                keep_v = sum(1 << b for b in values if doms[v] >> b & 1 and rev[b] & doms[u])
+            if (keep_u, keep_v) != (doms[u], doms[v]):
+                doms[u], doms[v] = keep_u, keep_v
+                changed = True
+            if not keep_u or not keep_v:
+                return None
+    return doms
+
+
+def random_looped_digraph(rng, max_n, density):
+    n = rng.randint(1, max_n)
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if rng.random() < (density / 3 if u == v else density)]
+    return Digraph.from_edges(n, edges)
+
+
+class TestFixpointAgainstReference:
+    def test_random_instances_with_loops_and_pins(self):
+        rng = random.Random(41)
+        hits = {"refuted": 0, "consistent": 0, "incremental": 0}
+        for _ in range(300):
+            x = random_looped_digraph(rng, 7, 0.3)
+            h = random_looped_digraph(rng, 5, 0.4)
+            pinned = rng.sample(range(x.vertex_count), min(rng.randint(0, 2), x.vertex_count))
+            pins = {var: rng.randrange(h.vertex_count) for var in pinned}
+            inst = build_instance(x, h, pins)
+            expect = reference_ac(inst)
+            got = arc_consistency(inst)
+            assert (got is None) == (expect is None)
+            if got is None:
+                hits["refuted"] += 1
+                continue
+            hits["consistent"] += 1
+            assert list(got.domains) == expect
+            # pinning one value after a full fixpoint: the incremental call
+            # seeded with the pinned variable reaches the from-scratch result
+            var = rng.randrange(x.vertex_count)
+            for val in range(h.vertex_count):
+                if not expect[var] >> val & 1:
+                    continue
+                domains = list(expect)
+                domains[var] = 1 << val
+                scratch = reference_ac(replace(inst, domains=tuple(domains)))
+                consistent = _ac_fixpoint(domains, inst, dirty=[var])
+                assert consistent == (scratch is not None)
+                if consistent:
+                    assert domains == scratch
+                hits["incremental"] += 1
+        assert all(hits.values()), hits
 
 
 class TestSolveHom:

@@ -212,8 +212,8 @@ class TestQuotientSoundness:
                     if any(not inst.domains[v] >> assign[v] & 1
                            for v in range(inst.variable_count)):
                         continue
-                    if all(rel.fwd[assign[u]] >> assign[v] & 1
-                           for u, v, rel, _ in inst.constraints):
+                    if all(inst.relation.fwd[assign[u]] >> assign[v] & 1
+                           for u, v in inst.constraints):
                         count += 1
                 tables = sum(
                     1 for t in brute_force_tables(h.vertex_count, k)
@@ -355,7 +355,7 @@ class TestLazyMatchesFullIndicator:
 
 CORRUPTED_SOLVERS = """
     import sys
-    from hcolor import homsolver, polysearch
+    from hcolor import classify, homsolver, polysearch
     from hcolor.digraph import Digraph
     from hcolor.errors import VerificationFailed
 
@@ -370,14 +370,26 @@ CORRUPTED_SOLVERS = """
         else:
             print("not caught")
 
-    solve_instance = homsolver.solve_instance
+    solve_instance, search = homsolver.solve_instance, homsolver._search
     homsolver._search = lambda domains, inst, counter: [1] * len(domains)
     expect_failure(lambda: homsolver.solve_hom(edge, edge))
+    homsolver._search = search
     polysearch.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
     expect_failure(lambda: polysearch.find_wnu(edge, 3))
     polysearch.solve_instance = solve_instance
     polysearch.is_wnu = lambda table: False
     expect_failure(lambda: polysearch.find_wnu(edge, 3))
+
+    # 0 -> 1 <- 2 retracts onto one edge; corrupt each core step in turn
+    vee = Digraph.from_edges(3, [(0, 1), (2, 1)])
+    solve_hom = classify.solve_hom
+    classify.solve_hom = lambda q, g, node_budget=None: (0,) * q.vertex_count
+    expect_failure(lambda: classify.compute_core(vee))
+    classify.solve_hom = solve_hom
+    classify._idempotent_power = lambda endo: (1, 1, 1)
+    expect_failure(lambda: classify.compute_core(vee))
+    classify._idempotent_power = lambda endo: (0, 1, 2)
+    expect_failure(lambda: classify.compute_core(vee))
 """
 
 
@@ -389,5 +401,10 @@ def test_verification_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(CORRUPTED_SOLVERS)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # each corruption is caught by the check meant for it
+    expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
+                "retraction is not", "retraction is onto")
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("caught:") for line in lines), proc.stdout
+    assert len(lines) == len(expected), proc.stdout
+    assert all(line.startswith("caught:") and part in line
+               for line, part in zip(lines, expected)), proc.stdout
