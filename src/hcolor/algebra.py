@@ -194,13 +194,8 @@ def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
 
 
 def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
-                    budget: int = DEFAULT_POLY_BUDGET,
-                    sample: int | None = None) -> bool:
-    """Edge preservation, exhaustive over edge tuples within the budget.
-
-    With `sample` set, checks that many seeded random edge tuples instead;
-    only the exhaustive mode certifies.
-    """
+                    budget: int = DEFAULT_POLY_BUDGET) -> bool:
+    """Edge preservation, exhaustive over edge tuples within the budget."""
     expr = as_expr(op)
     if expr.size != h.vertex_count:
         raise ValueError("operation base size must match the digraph")
@@ -208,20 +203,9 @@ def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
     edges = h.edges_sorted
     if not edges:
         return True
-    if sample is not None:
-        import random
-
-        rng = random.Random(0)
-        for _ in range(sample):
-            chosen = [edges[rng.randrange(len(edges))] for _ in range(k)]
-            tail = expr.evaluate([e[0] for e in chosen])
-            head = expr.evaluate([e[1] for e in chosen])
-            if (tail, head) not in h.edges:
-                return False
-        return True
     if len(edges) ** k > budget:
         raise BudgetExceeded(
-            f"{len(edges)}^{k} edge tuples exceed budget {budget}; pass sample=")
+            f"{len(edges)}^{k} edge tuples exceed budget {budget}")
     for chosen in product(edges, repeat=k):
         tail = expr.evaluate([e[0] for e in chosen])
         head = expr.evaluate([e[1] for e in chosen])
@@ -269,18 +253,15 @@ def make_special(w: OperationTable) -> tuple[OperationExpr, OperationTable]:
     return expr, polymer
 
 
-def star_table(polymer: OperationTable, iterations: int | None = None) -> OperationTable:
-    """x * y: fold x through `iterations` right-applications of o to y."""
+def star_table(polymer: OperationTable) -> OperationTable:
+    """x * y: fold x through `size` right-applications of o to y."""
     if polymer.arity != 2:
         raise ValueError("polymer must be binary")
-    count = polymer.size if iterations is None else iterations
-    if count < 1:
-        raise ValueError("need at least one application")
 
     def fold(args):
         x, y = args
         z = x
-        for _ in range(count):
+        for _ in range(polymer.size):
             z = polymer(z, y)
         return z
 
@@ -400,7 +381,8 @@ def trivial_pointing(op: OperationTable | OperationExpr, x: int) -> WeakPointing
     expr = as_expr(op)
     wit = tuple(((x,) * expr.arity,) * expr.arity)
     cert = WeakPointingCertificate(expr, frozenset({x}), frozenset({x}), wit)
-    assert verify_weak_pointing(cert)
+    if not verify_weak_pointing(cert):
+        raise ConstructionStuck(f"operation is not idempotent at {x}")
     return cert
 
 
@@ -593,9 +575,8 @@ def extend_binary(tree: SpecialTree, anchor: int, c_set: frozenset[int],
     tau = table_from_function(n, 2, fill)
     if not is_idempotent(tau):
         raise ConstructionStuck("extension is not idempotent")
-    for c in c_list:
-        for cp in c_list:
-            assert tau(c, cp) == gamma[(c, cp)]
+    if any(tau(c, cp) != gamma[(c, cp)] for c in c_list for cp in c_list):
+        raise ConstructionStuck("extension disagrees with gamma on the set")
     if not is_polymorphism(tree.digraph, tau):
         raise ConstructionStuck(
             "extension is not a polymorphism; the set is not absorption-free")
@@ -771,7 +752,6 @@ def build_pointing_for_af(
 # full-domain WNU extension
 
 def extend_wnu(tree: SpecialTree, tau: OperationTable,
-               edge_order: tuple[int, ...] | None = None,
                power_budget: int = DEFAULT_POLY_BUDGET) -> OperationTable:
     """Turn a polymorphism that is a WNU on the top and bottom levels into a
     WNU on the whole tree.
@@ -781,8 +761,8 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
     vertex (single attached path), a rotation pulling the odd coordinate
     first (exactly two paths), or tau; off the diagonal component either the
     least interior vertex, the odd coordinate out, or the first coordinate.
-    The least-vertex order ranks attached paths by edge_order and breaks
-    ties toward the bottom endpoint.
+    The least-vertex order ranks attached paths by template edge index and
+    breaks ties toward the bottom endpoint.
     """
     n = tau.arity
     h = tree.digraph
@@ -799,17 +779,12 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
         raise PreconditionViolated("input is not a WNU on the top level")
     if size ** n > power_budget:
         raise BudgetExceeded("power membership set exceeds budget")
-    m = len(tree.spec.template_edges)
-    order = tuple(range(m)) if edge_order is None else tuple(edge_order)
-    if sorted(order) != list(range(m)):
-        raise PreconditionViolated("edge_order must be a permutation of the edges")
-    rank = {e: i for i, e in enumerate(order)}
-    # interior vertices carry (edge rank, steps from the bottom endpoint)
+    # interior vertices carry (edge index, steps from the bottom endpoint)
     sort_key: list[tuple[int, int] | None] = [None] * size
     edge_of: list[int | None] = [None] * size
     for v, role in enumerate(tree.roles):
         if role[0] == "P":
-            sort_key[v] = (rank[role[1]], role[2])
+            sort_key[v] = (role[1], role[2])
             edge_of[v] = role[1]
     delta = diagonal_component(h, n, power_budget)
     lv = tree.levels

@@ -10,7 +10,7 @@ the Siggers search on it, and reports the verdict with timings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import lcm
 
@@ -210,16 +210,7 @@ class ClassificationReport:
     seeds: dict
 
     def to_dict(self) -> dict:
-        return {
-            "input_summary": self.input_summary,
-            "is_core": self.is_core,
-            "core_size": self.core_size,
-            "taylor": self.taylor,
-            "width_certificates": self.width_certificates,
-            "verdict": self.verdict,
-            "timings": self.timings,
-            "seeds": self.seeds,
-        }
+        return asdict(self)
 
 
 def classify_special_tree(spec: SpecialTreeSpec,
@@ -230,16 +221,8 @@ def classify_special_tree(spec: SpecialTreeSpec,
     """Compile, take the core, decide Taylor via the Siggers search.
 
     Refuted on the core means NP-complete; found means bounded width for a
-    special tree.  Budget exhaustion folds into UNDETERMINED.  The wall
-    budget is advisory: it is consulted between stages only.
+    special tree.
     """
-    started = time.perf_counter()
-
-    def wall_left() -> bool:
-        return wall_budget is None or time.perf_counter() - started < wall_budget
-
-    timings: dict[str, float] = {}
-    width: dict[str, str] = {}
     tree = compile_tree(spec)
     summary = {
         "vertices": tree.digraph.vertex_count,
@@ -248,92 +231,76 @@ def classify_special_tree(spec: SpecialTreeSpec,
         "a_count": spec.a_count,
         "b_count": spec.b_count,
     }
-    t0 = time.perf_counter()
-    try:
-        core_result = compute_core(tree.digraph, node_budget)
-    except BudgetExceeded:
-        timings["core"] = time.perf_counter() - t0
-        return ClassificationReport(
-            summary, False, -1, "budget_exceeded", width, UNDETERMINED,
-            timings, {"seed": seed})
-    timings["core"] = time.perf_counter() - t0
-    core = core_result.core
-    try:
-        core_spec = spec_from_core(core)  # certifies the core is a special tree
-    except HcolorError as exc:
-        return ClassificationReport(
-            summary, True, core.vertex_count, "not_attempted", width,
-            UNDETERMINED, timings, {"seed": seed, "diagnostic": str(exc)})
-
-    t0 = time.perf_counter()
-    try:
-        if not wall_left():
-            raise BudgetExceeded("wall budget")
-        maj = find_majority(core, indicator_budget, node_budget)
-        width["majority"] = "found" if maj is not None else "none"
-        if maj is not None:
-            width["wnu3"] = "found"  # a majority operation is itself a WNU
-        elif wall_left():
-            wnu3 = find_wnu(core, 3, indicator_budget, node_budget)
-            width["wnu3"] = "found" if wnu3 is not None else "none"
-        else:
-            width["wnu3"] = "budget_exceeded"
-    except BudgetExceeded:
-        width.setdefault("majority", "budget_exceeded")
-        width.setdefault("wnu3", "budget_exceeded")
-    timings["width_certificates"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        if not wall_left():
-            raise BudgetExceeded("wall budget")
-        sig = find_siggers(core, indicator_budget, node_budget)
-        taylor = "siggers_found" if sig is not None else "refuted"
-    except BudgetExceeded:
-        taylor = "budget_exceeded"
-    timings["siggers"] = time.perf_counter() - t0
-
-    if taylor == "siggers_found":
-        verdict = BOUNDED_WIDTH
-    elif taylor == "refuted":
-        verdict = NP_COMPLETE
-    else:
-        verdict = UNDETERMINED
-    return ClassificationReport(
-        summary, True, core.vertex_count, taylor, width, verdict,
-        timings, {"seed": seed, "core_height": core_spec.height})
+    return _classify(tree.digraph, summary, True, node_budget, indicator_budget,
+                     seed, wall_budget)
 
 
 def classify_digraph(g: Digraph,
                      node_budget: int | None = None,
                      indicator_budget: int = DEFAULT_INDICATOR_BUDGET,
-                     seed: int = 0) -> ClassificationReport:
+                     seed: int = 0,
+                     wall_budget: float | None = None) -> ClassificationReport:
     """Same pipeline for arbitrary digraphs; the verdict is capped at the
     Taylor / not-Taylor distinction."""
-    timings: dict[str, float] = {}
     summary = {"vertices": g.vertex_count, "edges": len(g.edges)}
-    t0 = time.perf_counter()
+    return _classify(g, summary, False, node_budget, indicator_budget, seed, wall_budget)
+
+
+def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
+              indicator_budget: int, seed: int,
+              wall_budget: float | None) -> ClassificationReport:
+    """Core, then (special trees only) width certificates, then Siggers.
+
+    Budget exhaustion folds into UNDETERMINED.  The wall budget is advisory:
+    it is consulted before each search only.
+    """
+    started = time.perf_counter()
+    timings: dict[str, float] = {}
+    width: dict[str, str] = {}
+    seeds: dict = {"seed": seed}
     try:
-        core_result = compute_core(g, node_budget)
+        core = compute_core(g, node_budget).core
     except BudgetExceeded:
-        timings["core"] = time.perf_counter() - t0
-        return ClassificationReport(
-            summary, False, -1, "budget_exceeded", {}, UNDETERMINED,
-            timings, {"seed": seed})
-    timings["core"] = time.perf_counter() - t0
-    core = core_result.core
+        core = None
+    timings["core"] = time.perf_counter() - started
+    if core is None:
+        return ClassificationReport(summary, False, -1, "budget_exceeded", width,
+                                    UNDETERMINED, timings, seeds)
+
+    def search(find, *args) -> str:
+        """Run one search on the core while the wall budget lasts."""
+        if wall_budget is not None and time.perf_counter() - started >= wall_budget:
+            return "budget_exceeded"
+        try:
+            found = find(core, *args, indicator_budget, node_budget)
+        except BudgetExceeded:
+            return "budget_exceeded"
+        return "none" if found is None else "found"
+
+    if special:
+        try:
+            # certifies the core is a special tree
+            seeds["core_height"] = spec_from_core(core).height
+        except HcolorError as exc:
+            seeds["diagnostic"] = str(exc)
+            return ClassificationReport(summary, True, core.vertex_count, "not_attempted",
+                                        width, UNDETERMINED, timings, seeds)
+        t0 = time.perf_counter()
+        width["majority"] = search(find_majority)
+        # a majority operation is itself a WNU
+        width["wnu3"] = (search(find_wnu, 3) if width["majority"] == "none"
+                         else width["majority"])
+        timings["width_certificates"] = time.perf_counter() - t0
+
     t0 = time.perf_counter()
-    try:
-        sig = find_siggers(core, indicator_budget, node_budget)
-        taylor = "siggers_found" if sig is not None else "refuted"
-    except BudgetExceeded:
-        taylor = "budget_exceeded"
+    outcome = search(find_siggers)
     timings["siggers"] = time.perf_counter() - t0
-    verdict = {"siggers_found": TAYLOR, "refuted": NOT_TAYLOR,
-               "budget_exceeded": UNDETERMINED}[taylor]
-    return ClassificationReport(
-        summary, True, core.vertex_count, taylor, {}, verdict,
-        timings, {"seed": seed})
+    found, refuted = (BOUNDED_WIDTH, NP_COMPLETE) if special else (TAYLOR, NOT_TAYLOR)
+    taylor, verdict = {"found": ("siggers_found", found),
+                       "none": ("refuted", refuted),
+                       "budget_exceeded": ("budget_exceeded", UNDETERMINED)}[outcome]
+    return ClassificationReport(summary, True, core.vertex_count, taylor, width, verdict,
+                                timings, seeds)
 
 
 def _check_diagonal_containment(tree: SpecialTree, n: int, budget: int) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import format_op, write_op
 from .classify import (
@@ -50,39 +49,25 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Budgets and reporting knobs shared by the subcommands."""
-
-    seed: int = 0
-    node_budget: int | None = None
-    indicator_budget: int = DEFAULT_INDICATOR_BUDGET
-    power_budget: int = DEFAULT_POWER_BUDGET
-    wall_budget: float | None = None
-    json_out: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("indicator_budget", "power_budget"):
-            if getattr(self, name) <= 0:
-                raise HcolorError(f"{name} must be positive")
-        if self.node_budget is not None and self.node_budget < 0:
-            raise HcolorError("node budget must be nonnegative")
-
-
 def _given_or(value, default):
     return default if value is None else value
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        node_budget=getattr(args, "budget_nodes", None),
-        indicator_budget=_given_or(getattr(args, "budget_indicator", None),
-                                   DEFAULT_INDICATOR_BUDGET),
-        power_budget=_given_or(getattr(args, "budget_power", None), DEFAULT_POWER_BUDGET),
-        wall_budget=getattr(args, "budget_wall", None),
-        json_out=getattr(args, "json", None),
-    )
+def _checked(convert, ok, message: str):
+    """An argparse type: `convert`, then reject values failing `ok`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "must be positive")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be nonnegative")
+_POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "must be positive")  # NaN fails
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -119,13 +104,12 @@ def _parse_pins(items) -> dict[int, int]:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args)
     x = read_dg(args.input)
     h = read_dg(args.target)
     pins = _parse_pins(args.pin)
     inst = build_instance(x, h, pins)
     if args.method == "bt":
-        found = solve_instance(inst, cfg.node_budget)
+        found = solve_instance(inst, args.budget_nodes)
         if found is None:
             print("no homomorphism")
             return EXIT_NONE
@@ -150,17 +134,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    cfg = _config(args)
-    h = read_dg(args.target)
     kind = args.kind
+    if args.arity is not None and kind not in ("wnu", "tsi"):
+        raise HcolorError(f"--arity applies to --kind wnu or tsi, not {kind}")
+    h = read_dg(args.target)
+    budgets = (args.budget_indicator, args.budget_nodes)
     if kind == "wnu":
-        table = find_wnu(h, _given_or(args.arity, 3), cfg.indicator_budget, cfg.node_budget)
+        table = find_wnu(h, _given_or(args.arity, 3), *budgets)
     elif kind == "majority":
-        table = find_majority(h, cfg.indicator_budget, cfg.node_budget)
+        table = find_majority(h, *budgets)
     elif kind == "siggers":
-        table = find_siggers(h, cfg.indicator_budget, cfg.node_budget)
+        table = find_siggers(h, *budgets)
     else:
-        table = find_tsi(h, _given_or(args.arity, 2), cfg.indicator_budget, cfg.node_budget)
+        table = find_tsi(h, _given_or(args.arity, 2), *budgets)
     if table is None:
         print(f"no {kind} polymorphism")
         return EXIT_NONE
@@ -173,15 +159,12 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _config(args)
+    params = (args.budget_nodes, args.budget_indicator, args.seed, args.budget_wall)
     if args.tree:
-        spec = read_stree(args.tree)
-        report = classify_special_tree(
-            spec, cfg.node_budget, cfg.indicator_budget, cfg.seed, cfg.wall_budget)
+        report = classify_special_tree(read_stree(args.tree), *params)
     else:
-        g = read_dg(args.input)
-        report = classify_digraph(g, cfg.node_budget, cfg.indicator_budget, cfg.seed)
-    _emit_json(report.to_dict(), cfg.json_out)
+        report = classify_digraph(read_dg(args.input), *params)
+    _emit_json(report.to_dict(), args.json)
     if report.verdict in (BOUNDED_WIDTH, TAYLOR):
         return EXIT_FOUND
     if report.verdict in (NP_COMPLETE, NOT_TAYLOR):
@@ -190,9 +173,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    cfg = _config(args)
     g = read_dg(args.input)
-    result = compute_core(g, cfg.node_budget)
+    result = compute_core(g, args.budget_nodes)
     if args.out:
         write_dg(args.out, result.core)
     print(f"core size {result.core.vertex_count}")
@@ -202,13 +184,12 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.suite != "lemmas":
         raise HcolorError(f"unknown suite {args.suite!r}")
     spec = read_stree(args.tree)
     report = verify_lemma_suite(
-        spec, cfg.seed, cfg.indicator_budget, cfg.node_budget, cfg.power_budget)
-    _emit_json(report, cfg.json_out)
+        spec, args.seed, args.budget_indicator, args.budget_nodes, args.budget_power)
+    _emit_json(report, args.json)
     failed = [k for k, v in report.items()
               if isinstance(v, str) and v.startswith("fail")]
     return EXIT_NONE if failed else EXIT_FOUND
@@ -241,12 +222,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Special oriented trees: homomorphisms, polymorphisms, dichotomy")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def budgets(p, wall=False):
-        p.add_argument("--budget-nodes", type=int, default=None)
-        p.add_argument("--budget-indicator", type=int, default=None)
-        p.add_argument("--budget-power", type=int, default=None)
-        if wall:
-            p.add_argument("--budget-wall", type=float, default=None)
+    budget_flags = {
+        "nodes": {"type": _NONNEGATIVE_INT, "default": None},
+        "indicator": {"type": _POSITIVE_INT, "default": DEFAULT_INDICATOR_BUDGET},
+        "power": {"type": _POSITIVE_INT, "default": DEFAULT_POWER_BUDGET},
+        "wall": {"type": _POSITIVE_SECONDS, "default": None},
+    }
+
+    def budgets(p, *names):
+        # each subcommand registers only the budgets it reads
+        for name in names:
+            p.add_argument(f"--budget-{name}", **budget_flags[name])
 
     p = sub.add_parser("build", help="compile a tree template to a digraph")
     p.add_argument("--tree", required=True)
@@ -259,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--pin", action="append", metavar="VAR=VAL")
     p.add_argument("--method", choices=["bt", "ac", "23"], default="bt")
-    budgets(p)
+    budgets(p, "nodes")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("poly", help="search for a polymorphism")
@@ -268,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--arity", type=int, default=None)
     p.add_argument("--out", default=None)
-    budgets(p)
+    budgets(p, "nodes", "indicator")
     p.set_defaults(fn=_cmd_poly)
 
     p = sub.add_parser("classify", help="run the dichotomy pipeline")
@@ -277,13 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input")
     p.add_argument("--json", default=None)
     p.add_argument("--seed", type=int, default=0)
-    budgets(p, wall=True)
+    budgets(p, "nodes", "indicator", "wall")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("core", help="compute the core of a digraph")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    budgets(p)
+    budgets(p, "nodes")
     p.set_defaults(fn=_cmd_core)
 
     p = sub.add_parser("verify", help="run instance checks on a tree")
@@ -291,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="lemmas")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
-    budgets(p)
+    budgets(p, "nodes", "indicator", "power")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded random tree template")

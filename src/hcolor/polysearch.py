@@ -40,7 +40,7 @@ from .algebra import (
     is_tsi,
     is_wnu,
 )
-from .digraph import Digraph
+from .digraph import Digraph, power_index
 from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
@@ -178,7 +178,7 @@ def _merge_pairs(sys: IdentitySystem, n: int):
         for values in _substitutions(variables, dict(ranges), n):
             yield sum(map(mul, wa, values)), sum(map(mul, wb, values))
     for ta, tb in sys.raw_merges:
-        yield _tuple_index(ta, n), _tuple_index(tb, n)
+        yield power_index(n, ta), power_index(n, tb)
 
 
 def _pin_targets(sys: IdentitySystem, n: int):
@@ -240,13 +240,6 @@ def indicator(h: Digraph, sys: IdentitySystem,
         pairs.add((class_of[tail], class_of[head]))
     inst = CspInstance(n, tuple(domains), edge_relation(h), tuple(sorted(pairs)))
     return Indicator(inst, tuple(class_of), k, n)
-
-
-def _tuple_index(tup: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for v in tup:
-        idx = idx * n + v
-    return idx
 
 
 def _components(inst: CspInstance) -> list[list[int]]:

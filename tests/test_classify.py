@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+from hcolor import classify
 from hcolor.classify import (
     BOUNDED_WIDTH,
     TAYLOR,
@@ -12,6 +13,7 @@ from hcolor.classify import (
     verify_lemma_suite,
 )
 from hcolor.digraph import Digraph
+from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import SpecialTreeSpec, canned_triad, compile_tree
@@ -124,6 +126,31 @@ class TestClassify:
         tri = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
         rep = classify_digraph(tri)
         assert rep.verdict == "NOT_TAYLOR"
+
+    def test_wall_budget_skips_every_search(self):
+        # the core is still taken; each search is then skipped, not run
+        spec = SpecialTreeSpec(1, 1, 1, ((0, 0, OrientedPath("1")),))
+        rep = classify_special_tree(spec, wall_budget=0)
+        assert rep.verdict == UNDETERMINED and rep.is_core
+        assert rep.width_certificates == {"majority": "budget_exceeded",
+                                          "wnu3": "budget_exceeded"}
+        assert rep.taylor == "budget_exceeded"
+        assert list(rep.timings) == ["core", "width_certificates", "siggers"]
+
+    def test_core_not_special_tree(self, monkeypatch):
+        def not_special(core):
+            raise InvalidSpec("not a special tree")
+
+        monkeypatch.setattr(classify, "spec_from_core", not_special)
+        spec = SpecialTreeSpec(1, 1, 1, ((0, 0, OrientedPath("1")),))
+        rep = classify_special_tree(spec)
+        assert rep.verdict == UNDETERMINED and rep.taylor == "not_attempted"
+        assert set(rep.seeds) == {"seed", "diagnostic"}
+        assert list(rep.timings) == ["core"]
+
+    def test_classify_digraph_wall_budget(self):
+        tri = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
+        assert classify_digraph(tri, wall_budget=1e-9).verdict == UNDETERMINED
 
 
 class TestLemmaSuite:

@@ -92,16 +92,21 @@ class TestPoly:
                      "--budget-indicator", "2"]) == 3
 
     @pytest.mark.parametrize("flag", ["--budget-indicator", "--budget-power"])
-    def test_zero_budget_rejected(self, edge_file, flag, capsys):
+    def test_zero_budget_rejected(self, edge_file, triad_file, flag, capsys):
         # a zero budget is bad input, not a request for the default
-        assert main(["poly", "--target", edge_file, "--kind", "siggers", flag, "0"]) == 2
+        command = {"--budget-indicator": ["poly", "--target", edge_file, "--kind", "siggers"],
+                   "--budget-power": ["verify", "--tree", triad_file]}[flag]
+        assert main(command + [flag, "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, arity", [("wnu", "1"), ("wnu", "0"), ("tsi", "0")])
+    @pytest.mark.parametrize("kind, arity",
+                             [("wnu", "1"), ("wnu", "0"), ("tsi", "0"), ("siggers", "7")])
     def test_bad_arity(self, edge_file, kind, arity, capsys):
-        # a zero arity is bad input, not a request for the default
+        # a zero arity is bad input, not a request for the default; an arity
+        # for a kind of fixed arity is bad input, not ignored
         assert main(["poly", "--target", edge_file, "--kind", kind, "--arity", arity]) == 2
-        assert "arity must be at least" in capsys.readouterr().err
+        expected = "arity must be at least" if kind in ("wnu", "tsi") else "--arity applies to"
+        assert expected in capsys.readouterr().err
 
 
 class TestClassify:
@@ -129,6 +134,11 @@ class TestClassify:
         assert main(["classify", "--input", edge_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "TAYLOR"
+
+    @pytest.mark.parametrize("wall", ["-1", "0", "nan"])
+    def test_bad_wall_budget(self, edge_file, wall, capsys):
+        assert main(["classify", "--input", edge_file, "--budget-wall", wall]) == 2
+        assert "must be positive" in capsys.readouterr().err
 
 
 class TestCoreCmd:
@@ -200,6 +210,11 @@ class TestUsage:
 
     def test_bad_flag(self):
         assert main(["solve", "--nope"]) == 2
+
+    def test_unread_budget_flag_rejected(self, edge_file):
+        # solve reads no power budget, so it does not accept one
+        assert main(["solve", "--input", edge_file, "--target", edge_file,
+                     "--budget-power", "5"]) == 2
 
     def test_solve_node_budget_exit(self, tmp_path):
         h = tmp_path / "h.dg"

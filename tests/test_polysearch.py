@@ -356,16 +356,17 @@ class TestLazyMatchesFullIndicator:
 CORRUPTED_SOLVERS = """
     import sys
     from hcolor import classify, homsolver, polysearch
+    from hcolor.algebra import table_from_function, trivial_pointing
     from hcolor.digraph import Digraph
-    from hcolor.errors import VerificationFailed
+    from hcolor.errors import ConstructionStuck, VerificationFailed
 
     assert sys.flags.optimize, "run under python -O"
     edge = Digraph.from_edges(2, [(0, 1)])
 
-    def expect_failure(run):
+    def expect_failure(run, error=VerificationFailed):
         try:
             run()
-        except VerificationFailed as exc:
+        except error as exc:
             print("caught:", exc)
         else:
             print("not caught")
@@ -390,11 +391,16 @@ CORRUPTED_SOLVERS = """
     expect_failure(lambda: classify.compute_core(vee))
     classify._idempotent_power = lambda endo: (0, 1, 2)
     expect_failure(lambda: classify.compute_core(vee))
+
+    # negation is not idempotent, so it points no singleton to itself
+    negation = table_from_function(2, 2, lambda a: 1 - a[0])
+    expect_failure(lambda: trivial_pointing(negation, 0), ConstructionStuck)
 """
 
 
 def test_verification_survives_optimized_mode():
-    # a corrupted solver result must be caught even with asserts stripped
+    # a corrupted solver result or a failing certificate must be caught even
+    # with asserts stripped
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
@@ -403,7 +409,7 @@ def test_verification_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     # each corruption is caught by the check meant for it
     expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
-                "retraction is not", "retraction is onto")
+                "retraction is not", "retraction is onto", "not idempotent at 0")
     lines = proc.stdout.splitlines()
     assert len(lines) == len(expected), proc.stdout
     assert all(line.startswith("caught:") and part in line
