@@ -10,6 +10,9 @@ sets the wall budget in seconds.
 import json
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hcolor.classify import classify_special_tree
 from hcolor.spectree import canned_triad

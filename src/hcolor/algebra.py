@@ -195,7 +195,13 @@ def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
 
 def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
                     budget: int = DEFAULT_POLY_BUDGET) -> bool:
-    """Edge preservation, exhaustive over edge tuples within the budget."""
+    """Edge preservation, exhaustive over edge tuples within the budget.
+
+    A table is checked by index arithmetic: for each choice of the first
+    k - 1 edges, the tail and head indices of that prefix are computed once,
+    and each last edge is tested against per-vertex successor bitmasks.  An
+    expression, such as a composition, is evaluated tuple by tuple.
+    """
     expr = as_expr(op)
     if expr.size != h.vertex_count:
         raise ValueError("operation base size must match the digraph")
@@ -206,11 +212,31 @@ def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
     if len(edges) ** k > budget:
         raise BudgetExceeded(
             f"{len(edges)}^{k} edge tuples exceed budget {budget}")
+    if isinstance(op, OperationTable) and k > 0:
+        return _table_preserves_edges(h, op)
     for chosen in product(edges, repeat=k):
         tail = expr.evaluate([e[0] for e in chosen])
         head = expr.evaluate([e[1] for e in chosen])
         if (tail, head) not in h.edges:
             return False
+    return True
+
+
+def _table_preserves_edges(h: Digraph, table: OperationTable) -> bool:
+    n, values, edges = table.size, table.values, h.edges_sorted
+    succ = [0] * n
+    for u, v in edges:
+        succ[u] |= 1 << v
+    for prefix in product(edges, repeat=table.arity - 1):
+        tail = head = 0
+        for u, v in prefix:
+            tail = tail * n + u
+            head = head * n + v
+        tail *= n
+        head *= n
+        for u, v in edges:
+            if not succ[values[tail + u]] >> values[head + v] & 1:
+                return False
     return True
 
 

@@ -25,7 +25,13 @@ from .algebra import (
     star_table,
     verify_preceq_absorption,
 )
-from .digraph import Digraph, compute_levels, diagonal_component, power_index
+from .digraph import (
+    DEFAULT_POWER_BUDGET,
+    Digraph,
+    compute_levels,
+    diagonal_component,
+    power_index,
+)
 from .errors import (
     BudgetExceeded,
     ConstructionStuck,
@@ -387,7 +393,7 @@ def _check_anchor_absorption(tree: SpecialTree, o: int, polymer, star) -> tuple[
 def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
                        indicator_budget: int = DEFAULT_INDICATOR_BUDGET,
                        node_budget: int | None = None,
-                       power_budget: int = 2_000_000) -> dict:
+                       power_budget: int = DEFAULT_POWER_BUDGET) -> dict:
     """Instance-level checks of the structural facts behind the classifier.
 
     Checks needing a top-and-bottom WNU are skipped when the search finds

@@ -21,6 +21,14 @@ components built and solved, in the same order.  Classes are numbered by
 their smallest tuple, so every sub-instance, and hence every table found,
 is the one the full construction gives.
 
+Many components of one search are the same sub-instance (same domains,
+same constraints, and within a search the same relation), so each search
+keeps a memo from sub-instance to assignment and solves each distinct one
+once.  This is exact: `solve_instance` is deterministic and starts a fresh
+node count on every call, so an identical instance gets the identical
+answer under any node budget.  The memo lives for one search only, and
+the assembled table is still re-checked as a whole.
+
 `indicator` and `solve_indicator` build and solve the full quotient; they
 are the simple reference the lazy path is tested against.
 """
@@ -357,6 +365,7 @@ class _LazyIndicator:
         self.into = _power_step(h.in_neighbors, n, sys.arity)
         self.rel = edge_relation(h)
         self.seen = bytearray(self.total)
+        self.solutions: dict[tuple, tuple[int, ...] | None] = {}  # sub-instance -> answer
 
     def close(self, start: int) -> _Component:
         """The unvisited component of `start`, over power edges both ways and
@@ -426,13 +435,22 @@ class _LazyIndicator:
                 pairs.add((ct, class_of[w]))
         return CspInstance(self.n, tuple(comp.domains), self.rel, tuple(sorted(pairs)))
 
+    def solve(self, comp: _Component, node_budget: int | None) -> tuple[int, ...] | None:
+        """The component's assignment, or None; each distinct sub-instance
+        is solved once."""
+        inst = self.instance(comp)
+        key = (inst.domains, inst.constraints)
+        if key not in self.solutions:
+            self.solutions[key] = solve_instance(inst, node_budget)
+        return self.solutions[key]
+
 
 def _solve_in_order(lazy: _LazyIndicator, comps: list[_Component],
                     node_budget: int | None, solved: list) -> bool:
     """Solve smallest first, appending (component, assignment) to `solved`;
     False at the first refuted component."""
     for comp in sorted(comps, key=_Component.order):
-        found = solve_instance(lazy.instance(comp), node_budget)
+        found = lazy.solve(comp, node_budget)
         if found is None:
             return False
         solved.append((comp, found))

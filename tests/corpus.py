@@ -1,6 +1,7 @@
 """Deterministic corpora shared by the test suites."""
 
 import random
+from itertools import permutations
 
 from hcolor.digraph import Digraph
 from hcolor.spectree import compile_tree, gen_random_special_tree
@@ -43,3 +44,25 @@ def random_tree_like(rng: random.Random, max_n: int) -> Digraph:
         u = rng.randrange(v)
         edges.append((u, v) if rng.random() < 0.5 else (v, u))
     return Digraph.from_edges(n, edges)
+
+
+def loopless_digraphs_up_to_iso(n: int) -> list[Digraph]:
+    """One digraph per isomorphism class of loopless digraphs on n vertices."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    bit = {arc: 1 << i for i, arc in enumerate(arcs)}
+    perms = list(permutations(range(n)))
+    seen: set[int] = set()
+    graphs = []
+    for mask in range(1 << len(arcs)):
+        if mask in seen:
+            continue
+        chosen = [arc for arc in arcs if mask & bit[arc]]
+        for p in perms:
+            seen.add(sum(bit[(p[u], p[v])] for u, v in chosen))
+        graphs.append(Digraph.from_edges(n, chosen))
+    return graphs
+
+
+def relabel(g: Digraph, perm) -> Digraph:
+    """The isomorphic copy of g with vertex v renamed perm[v]."""
+    return Digraph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from corpus import loopless_digraphs_up_to_iso
 from hcolor.digraph import Digraph
 from hcolor.errors import (
     ConstructionStuck,
@@ -42,6 +43,7 @@ from hcolor.algebra import (
     verify_weak_pointing,
 )
 from hcolor.minpath import OrientedPath
+from hcolor.polysearch import find_majority, find_wnu
 from hcolor.spectree import SpecialTreeSpec, compile_tree, e_neighborhood
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
@@ -127,6 +129,57 @@ class TestPredicates:
         proj = table_from_function(3, 3, lambda a: a[0])
         with pytest.raises(BudgetExceeded):
             is_polymorphism(g, proj, budget=5)
+
+
+class TestTablePathMatchesExpr:
+    """The index path for tables against tuple-by-tuple evaluation."""
+
+    @staticmethod
+    def agree(h, table):
+        fast = is_polymorphism(h, table)
+        assert fast == is_polymorphism(h, TableExpr(table)), (sorted(h.edges), table)
+        return fast
+
+    def test_found_tables_and_one_value_changes(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for h in loopless_digraphs_up_to_iso(4):
+            for table in (find_wnu(h, 2), find_wnu(h, 3), find_majority(h)):
+                if table is None:
+                    continue
+                assert self.agree(h, table)
+                values = list(table.values)
+                i = rng.randrange(len(values))
+                values[i] = rng.choice([v for v in range(table.size) if v != values[i]])
+                verdicts.add(self.agree(h, OperationTable(table.size, table.arity,
+                                                          tuple(values))))
+        assert verdicts == {True, False}
+
+    def test_random_tables(self):
+        rng = random.Random(12)
+        graphs = loopless_digraphs_up_to_iso(4)
+        for h in rng.sample(graphs, 30) + [graphs[0], graphs[-1]]:
+            for arity in (1, 2, 3, 4):
+                for _ in range(5):
+                    values = tuple(rng.randrange(4) for _ in range(4 ** arity))
+                    self.agree(h, OperationTable(4, arity, values))
+            for arity in (1, 2):  # projections and constants
+                self.agree(h, table_from_function(4, arity, lambda a: a[-1]))
+                self.agree(h, table_from_function(4, arity, lambda a: 2))
+
+    def test_budget_before_any_work(self, monkeypatch):
+        from hcolor import algebra
+        from hcolor.errors import BudgetExceeded
+
+        g = Digraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        proj = table_from_function(3, 3, lambda a: a[0])
+        monkeypatch.setattr(algebra, "product", None)  # any use fails
+        for op in (proj, TableExpr(proj)):
+            with pytest.raises(BudgetExceeded):
+                is_polymorphism(g, op, budget=26)
+        monkeypatch.undo()
+        assert is_polymorphism(g, proj, budget=27)
+        assert is_polymorphism(g, TableExpr(proj), budget=27)
 
 
 class TestPolymer:

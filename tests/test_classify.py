@@ -1,7 +1,9 @@
+import inspect
 import random
 from itertools import product
 
-from hcolor import classify
+from corpus import random_special_trees, relabel
+from hcolor import classify, cli
 from hcolor.classify import (
     BOUNDED_WIDTH,
     TAYLOR,
@@ -12,7 +14,7 @@ from hcolor.classify import (
     spec_from_core,
     verify_lemma_suite,
 )
-from hcolor.digraph import Digraph
+from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph
 from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
@@ -77,6 +79,14 @@ class TestComputeCore:
             assert brute_force_is_core(res.core)
             assert is_homomorphism(g, res.core, res.retraction)
             assert is_homomorphism(res.core, g, res.embedding)
+
+    def test_core_size_invariant_under_relabelling(self):
+        rng = random.Random(2014)
+        for spec in random_special_trees(25):
+            g = compile_tree(spec).digraph
+            perm = rng.sample(range(g.vertex_count), g.vertex_count)
+            assert (compute_core(relabel(g, perm)).core.vertex_count
+                    == compute_core(g).core.vertex_count), perm
 
     def test_minimal_paths_are_cores(self):
         for dirs in ("1", "11", "11011", "1101011"):
@@ -180,6 +190,13 @@ class TestLemmaSuite:
             (1, 0, OrientedPath("11")),
         ))
         assert verify_lemma_suite(spec, seed=3) == verify_lemma_suite(spec, seed=3)
+
+    def test_power_budget_default_matches_cli(self):
+        # the library and `hcolor verify` give one report for one tree only
+        # when they default to the same power budget
+        param = inspect.signature(verify_lemma_suite).parameters["power_budget"]
+        args = cli._build_parser().parse_args(["verify", "--tree", "t.stree"])
+        assert param.default == args.budget_power == DEFAULT_POWER_BUDGET
 
     def test_triad_suite_skips(self):
         # no top-and-bottom WNU exists on the triad, so the dependent

@@ -3,12 +3,12 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import permutations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from corpus import random_special_trees
+from corpus import loopless_digraphs_up_to_iso, random_special_trees, relabel
 from hcolor import polysearch
 from hcolor.algebra import (
     OperationTable,
@@ -233,23 +233,6 @@ class TestExhaustiveAgreement:
             assert (find_tsi(h, 2) is not None) == brute_force_exists(h, 2, is_tsi)
 
 
-def loopless_digraphs_up_to_iso(n: int) -> list[Digraph]:
-    """One digraph per isomorphism class of loopless digraphs on n vertices."""
-    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    bit = {arc: 1 << i for i, arc in enumerate(arcs)}
-    perms = list(permutations(range(n)))
-    seen: set[int] = set()
-    graphs = []
-    for mask in range(1 << len(arcs)):
-        if mask in seen:
-            continue
-        chosen = [arc for arc in arcs if mask & bit[arc]]
-        for p in perms:
-            seen.add(sum(bit[(p[u], p[v])] for u, v in chosen))
-        graphs.append(Digraph.from_edges(n, chosen))
-    return graphs
-
-
 def reference_search(h, sys, budget=polysearch.DEFAULT_INDICATOR_BUDGET, node_budget=None):
     """The full indicator, split and solved component by component."""
     ind = indicator(h, sys, budget)
@@ -351,6 +334,67 @@ class TestLazyMatchesFullIndicator:
         assert find_siggers(compile_tree(canned_triad()).digraph) is None
         # the pinned component has 33,843 of the 2,254,161 classes
         assert 0 < sum(solved) <= 40_000
+
+
+def top_bottom_system(tree):
+    return wnu_on_sets_system(3, [tuple(sorted(tree.a_vertices)),
+                                  tuple(sorted(tree.b_vertices))])
+
+
+def record_solves(monkeypatch) -> list:
+    """Patch the solver so each call appends its (domains, constraints) key."""
+    keys = []
+    solve = polysearch.solve_instance
+
+    def recording(inst, node_budget=None):
+        keys.append((inst.domains, inst.constraints))
+        return solve(inst, node_budget)
+
+    monkeypatch.setattr(polysearch, "solve_instance", recording)
+    return keys
+
+
+class TestSolutionMemo:
+    def test_each_distinct_sub_instance_solved_once(self, monkeypatch):
+        tree = compile_tree(random_special_trees(1)[0])
+        sys_ = top_bottom_system(tree)
+        components = len(polysearch._components(indicator(tree.digraph, sys_).instance))
+        keys = record_solves(monkeypatch)
+        assert find_polymorphism(tree.digraph, sys_) is not None
+        assert len(keys) == len(set(keys))
+        assert 0 < len(keys) < components
+
+    def test_memo_does_not_outlive_a_search(self, monkeypatch):
+        tree = compile_tree(random_special_trees(1)[0])
+        keys = record_solves(monkeypatch)
+        first = find_polymorphism(tree.digraph, top_bottom_system(tree))
+        solves = len(keys)
+        assert find_polymorphism(tree.digraph, top_bottom_system(tree)) == first
+        assert solves > 0 and keys[solves:] == keys[:solves]
+
+
+class TestRelabelling:
+    """Existence answers do not depend on how the target's vertices are named."""
+
+    SEARCHES = {
+        "wnu2": lambda h: find_wnu(h, 2),
+        "wnu3": lambda h: find_wnu(h, 3),
+        "majority": find_majority,
+        "siggers": find_siggers,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SEARCHES))
+    def test_existence_invariant(self, kind):
+        rng = random.Random(2014)
+        search = self.SEARCHES[kind]
+        answers = set()
+        for h in rng.sample(loopless_digraphs_up_to_iso(4), 60):
+            perm = rng.sample(range(4), 4)
+            found = search(h) is not None
+            assert found == (search(relabel(h, perm)) is not None), \
+                (kind, perm, sorted(h.edges))
+            answers.add(found)
+        assert answers == {True, False}
 
 
 CORRUPTED_SOLVERS = """
