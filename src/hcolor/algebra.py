@@ -132,19 +132,24 @@ def is_idempotent(t: OperationTable) -> bool:
     return all(t.apply((x,) * t.arity) == x for x in range(t.size))
 
 
-def is_wnu(t: OperationTable) -> bool:
-    """Idempotent with all one-differing-argument patterns equal."""
-    if not is_idempotent(t):
-        return False
+def _wnu_on(t: OperationTable, vals) -> bool:
+    """Idempotent on `vals`, with all one-differing-argument patterns over
+    `vals` equal."""
     k = t.arity
-    for x in range(t.size):
-        for y in range(t.size):
+    for x in vals:
+        if t.apply((x,) * k) != x:
+            return False
+        for y in vals:
             base = t.apply((y,) + (x,) * (k - 1))
             for pos in range(1, k):
-                args = (x,) * pos + (y,) + (x,) * (k - 1 - pos)
-                if t.apply(args) != base:
+                if t.apply((x,) * pos + (y,) + (x,) * (k - 1 - pos)) != base:
                     return False
     return True
+
+
+def is_wnu(t: OperationTable) -> bool:
+    """Idempotent with all one-differing-argument patterns equal."""
+    return _wnu_on(t, range(t.size))
 
 
 def is_majority(t: OperationTable) -> bool:
@@ -178,19 +183,8 @@ def is_siggers(t: OperationTable) -> bool:
 def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
     """The restriction to `subset` is a WNU operation on it (closure included)."""
     sub = sorted(subset)
-    k = t.arity
-    for args in product(sub, repeat=k):
-        if t.apply(args) not in subset:
-            return False
-    for x in sub:
-        if t.apply((x,) * k) != x:
-            return False
-        for y in sub:
-            base = t.apply((y,) + (x,) * (k - 1))
-            for pos in range(1, k):
-                if t.apply((x,) * pos + (y,) + (x,) * (k - 1 - pos)) != base:
-                    return False
-    return True
+    return (all(t.apply(args) in subset for args in product(sub, repeat=t.arity))
+            and _wnu_on(t, sub))
 
 
 def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,

@@ -48,6 +48,8 @@ EXIT_NONE = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
+SEED_HELP = "recorded in the report for provenance; does not change the result"
+
 
 def _given_or(value, default):
     return default if value is None else value
@@ -262,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tree")
     group.add_argument("--input")
     p.add_argument("--json", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     budgets(p, "nodes", "indicator", "wall")
     p.set_defaults(fn=_cmd_classify)
 
@@ -275,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run instance checks on a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--suite", default="lemmas")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--json", default=None)
     budgets(p, "nodes", "indicator", "power")
     p.set_defaults(fn=_cmd_verify)

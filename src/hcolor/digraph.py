@@ -2,6 +2,12 @@
 
 Vertices are dense 0-based integers.  Digraphs are immutable after
 construction; every function here is pure.
+
+Powers are walked by tuple index: `power_step` lists a tuple's neighbours
+in the k-th power by index arithmetic, and both `diagonal_component` and
+the polymorphism searches' lazy indicator explore the power through it.
+`direct_power` builds a whole power and is the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, InvalidFormat, NotBalanced
 
@@ -193,6 +199,33 @@ def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digr
     return Digraph.from_edges(size, edges)
 
 
+def power_step(nbrs: tuple[tuple[int, ...], ...], k: int) -> Callable[[int], list[int]]:
+    """Neighbours in the k-th power, by tuple index, given per-vertex
+    neighbour lists (out- or in-neighbours).
+
+    An index splits into its first k // 2 coordinates and the rest; the
+    neighbours are all sums of a neighbour of each half, read from per-half
+    lists (the products of the per-coordinate neighbour lists).
+    """
+    n = len(nbrs)
+
+    def halves(m: int, scale: int) -> list[list[int]]:
+        lists = [[0]]
+        for _ in range(m):
+            lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
+                     for p in range(len(lists)) for c in range(n)]
+        return [[q * scale for q in qs] for qs in lists]
+
+    split = n ** (k - k // 2)
+    highs, lows = halves(k // 2, split), halves(k - k // 2, 1)
+
+    def step(t: int) -> list[int]:
+        hi, lo = divmod(t, split)
+        low = lows[lo]
+        return [a + b for a in highs[hi] for b in low]
+    return step
+
+
 def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> frozenset[int]:
     """Indices of power tuples weakly connected to some diagonal tuple.
 
@@ -201,35 +234,17 @@ def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -
     """
     if n < 1:
         raise ValueError("power must be positive")
-    base = g.vertex_count
-    seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque()
-    for v in range(base):
-        diag = (v,) * n
-        if diag not in seen:
-            seen.add(diag)
-            queue.append(diag)
-    while queue:
-        tup = queue.popleft()
-        for direction in (g.out_neighbors, g.in_neighbors):
-            nbrs = [direction[v] for v in tup]
-            if any(not ns for ns in nbrs):
-                continue
-            # product of per-coordinate neighbor lists
-            stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-            while stack:
-                depth, prefix = stack.pop()
-                if depth == n:
-                    if prefix not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(
-                                f"diagonal component exceeded budget {budget}")
-                        seen.add(prefix)
-                        queue.append(prefix)
-                    continue
-                for w in nbrs[depth]:
-                    stack.append((depth + 1, prefix + (w,)))
-    return frozenset(power_index(base, t) for t in seen)
+    out, into = power_step(g.out_neighbors, n), power_step(g.in_neighbors, n)
+    seen = {power_index(g.vertex_count, (v,) * n) for v in range(g.vertex_count)}
+    queue = sorted(seen)
+    for t in queue:  # the loop also visits the tuples it appends
+        for w in out(t) + into(t):
+            if w not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceeded(f"diagonal component exceeded budget {budget}")
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 # .dg text format: `digraph <n> <m>` then m lines `<u> <v>`; '#' comments.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import Digraph
-from .errors import HeightMismatch, NotMinimal, SearchExhausted
+from .errors import HeightMismatch, NotMinimal, SearchExhausted, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,11 @@ def common_onto_minimal_path(
                 parents[state] = ((level, pos), c)
                 if accepting(state):
                     q = OrientedPath(rebuild(state, parents))
-                    assert is_minimal(q) and q.height == h
+                    if not (is_minimal(q) and q.height == h):
+                        raise VerificationFailed(f"common path {q} is not minimal of height {h}")
                     for p in paths:
-                        assert path_onto_hom(q, p) is not None
+                        if path_onto_hom(q, p) is None:
+                            raise VerificationFailed(f"common path {q} does not map onto {p}")
                     return q
                 if nl < h:  # level-h states are terminal only
                     frontier.append(state)

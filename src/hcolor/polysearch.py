@@ -1,16 +1,17 @@
 """Polymorphism existence via indicator structures.
 
 A k-ary polymorphism of h is a homomorphism from the k-th power of h back
-to h.  Identity constraints (WNU patterns, Siggers, total symmetry) merge
-power tuples into classes and pin forced classes, turning each search into
-a homomorphism instance over the quotient (the indicator instance).  Values
+to h.  Every identity system (WNU, majority, Siggers, total symmetry) is a
+list of merge and pin patterns over abstract variables: merges join power
+tuples into classes and pins force classes, turning each search into a
+homomorphism instance over the quotient (the indicator instance).  Values
 on weakly connected components of the quotient are independent, so
 components are solved separately.
 
 Searches never build the whole quotient.  `find_polymorphism` grows one
 component at a time by a breadth-first search over the implicit power
-digraph: out- and in-neighbour tuples come from precomputed half-tuple
-lists, merge partners from a table of the merge rules.  The components
+digraph: out- and in-neighbour tuples come from `digraph.power_step`,
+merge partners from a table of the merge rules.  The components
 holding pinned tuples are built first, all of them, so that inconsistent
 pins surface before any solving; they are then solved smallest first (by
 class count, then smallest tuple), and the first refuted one ends the
@@ -48,7 +49,7 @@ from .algebra import (
     is_tsi,
     is_wnu,
 )
-from .digraph import Digraph, power_index
+from .digraph import Digraph, power_step
 from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
@@ -60,7 +61,7 @@ Ranges = dict[str, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class IdentitySystem:
-    """Merge and pin rules over abstract variables, plus raw tuple merges.
+    """Merge and pin rules over abstract variables.
 
     A merge rule equates the images of two patterns for every substitution
     of its variables (restricted by per-variable ranges, full range when
@@ -71,7 +72,6 @@ class IdentitySystem:
     arity: int
     merges: tuple[tuple[Pattern, Pattern, tuple[tuple[str, tuple[int, ...]], ...]], ...] = ()
     pins: tuple[tuple[Pattern, str, tuple[tuple[str, tuple[int, ...]], ...]], ...] = ()
-    raw_merges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
 def _rotations(k: int) -> list[Pattern]:
@@ -116,18 +116,20 @@ def siggers_system() -> IdentitySystem:
     return IdentitySystem(4, merge, pins)
 
 
-def tsi_system(k: int, size: int) -> IdentitySystem:
-    """Tuples with equal argument sets merged, diagonal pinned."""
-    groups: dict[frozenset[int], tuple[int, ...]] = {}
-    raw = []
-    for tup in product(range(size), repeat=k):
-        key = frozenset(tup)
-        if key in groups:
-            raw.append((groups[key], tup))
-        else:
-            groups[key] = tup
+def tsi_system(k: int) -> IdentitySystem:
+    """Tuples with equal argument sets merged, diagonal pinned.
+
+    Adjacent transpositions reach every reordering of a tuple, and for
+    k >= 3 the shift (v0, v0, v2, ...) ~ (v0, v2, v2, ...) moves one
+    repetition from one argument to another; together they join exactly
+    the tuples with one argument set.
+    """
+    vs = tuple(f"v{i}" for i in range(k))
+    merges = [(vs, vs[:i] + (vs[i + 1], vs[i]) + vs[i + 2:], ()) for i in range(k - 1)]
+    if k >= 3:
+        merges.append(((vs[0], vs[0]) + vs[2:], (vs[0], vs[2]) + vs[2:], ()))
     pins = ((("x",) * k, "x", ()),)
-    return IdentitySystem(k, (), pins, tuple(raw))
+    return IdentitySystem(k, tuple(merges), pins)
 
 
 class _UnionFind:
@@ -185,8 +187,6 @@ def _merge_pairs(sys: IdentitySystem, n: int):
         wa, wb = _weights(pat_a, variables, n), _weights(pat_b, variables, n)
         for values in _substitutions(variables, dict(ranges), n):
             yield sum(map(mul, wa, values)), sum(map(mul, wb, values))
-    for ta, tb in sys.raw_merges:
-        yield power_index(n, ta), power_index(n, tb)
 
 
 def _pin_targets(sys: IdentitySystem, n: int):
@@ -309,30 +309,6 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     return tuple(assignment)  # type: ignore[arg-type]
 
 
-def _power_step(nbrs: tuple[tuple[int, ...], ...], n: int, k: int):
-    """Neighbours in the k-th power, by tuple index.
-
-    An index splits into its first k // 2 coordinates and the rest; the
-    neighbours are all sums of a neighbour of each half, read from per-half
-    lists (the products of the per-coordinate neighbour lists).
-    """
-    def halves(m: int, scale: int) -> list[list[int]]:
-        lists = [[0]]
-        for _ in range(m):
-            lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
-                     for p in range(len(lists)) for c in range(n)]
-        return [[q * scale for q in qs] for qs in lists]
-
-    split = n ** (k - k // 2)
-    highs, lows = halves(k // 2, split), halves(k - k // 2, 1)
-
-    def step(t: int) -> list[int]:
-        hi, lo = divmod(t, split)
-        low = lows[lo]
-        return [a + b for a in highs[hi] for b in low]
-    return step
-
-
 class _Component:
     """One weakly connected component of the quotient, with its classes
     numbered by smallest tuple."""
@@ -361,8 +337,8 @@ class _LazyIndicator:
             if i != j:
                 self.partners.setdefault(i, []).append(j)
                 self.partners.setdefault(j, []).append(i)
-        self.out = _power_step(h.out_neighbors, n, sys.arity)
-        self.into = _power_step(h.in_neighbors, n, sys.arity)
+        self.out = power_step(h.out_neighbors, sys.arity)
+        self.into = power_step(h.in_neighbors, sys.arity)
         self.rel = edge_relation(h)
         self.seen = bytearray(self.total)
         self.solutions: dict[tuple, tuple[int, ...] | None] = {}  # sub-instance -> answer
@@ -527,5 +503,4 @@ def find_tsi(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
     """A k-ary totally symmetric idempotent polymorphism, or None."""
     if k < 1:
         raise InvalidParams("TSI arity must be at least 1")
-    _tuple_count(h.vertex_count, k, budget)  # tsi_system enumerates every tuple
-    return find_polymorphism(h, tsi_system(k, h.vertex_count), is_tsi, budget, node_budget)
+    return find_polymorphism(h, tsi_system(k), is_tsi, budget, node_budget)

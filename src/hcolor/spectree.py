@@ -11,8 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .digraph import Digraph, LevelAssignment, compute_levels, is_oriented_tree
-from .errors import InvalidFormat, InvalidSpec, MixedLevels, NotMinimal
+from .digraph import Digraph, LevelAssignment, compute_levels, is_connected, is_oriented_tree
+from .errors import InvalidFormat, InvalidSpec, MixedLevels, NotMinimal, VerificationFailed
 from .minpath import OrientedPath, common_onto_minimal_path, is_minimal
 
 # Vertex roles in a compiled tree: ('A', i), ('B', j) or ('P', edge, pos)
@@ -51,24 +51,11 @@ class SpecialTreeSpec:
             if path.height != self.height:
                 raise InvalidSpec(
                     f"path {path} has height {path.height}, template requires {self.height}")
-        if not self._template_connected():
+        template = Digraph.from_edges(
+            self.a_count + self.b_count,
+            ((a, self.a_count + b) for a, b, _ in self.template_edges))
+        if not is_connected(template):
             raise InvalidSpec("template is not connected")
-
-    def _template_connected(self) -> bool:
-        total = self.a_count + self.b_count
-        adj: list[list[int]] = [[] for _ in range(total)]
-        for a, b, _ in self.template_edges:
-            adj[a].append(self.a_count + b)
-            adj[self.a_count + b].append(a)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == total
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +132,8 @@ def compile_tree(spec: SpecialTreeSpec) -> SpecialTree:
     levels = compute_levels(g)
     if levels.height != spec.height:
         raise InvalidSpec("compiled height differs from template height")
-    assert is_oriented_tree(g)
+    if not is_oriented_tree(g):
+        raise VerificationFailed("compiled digraph is not an oriented tree")
     return SpecialTree(g, levels, tuple(roles), spec)
 
 

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corpus import random_digraph as corpus_digraph
 from hcolor.digraph import (
     Digraph,
     component_levels,
@@ -132,15 +135,12 @@ class TestDiagonalComponent:
         import random
 
         rng = random.Random(11)
-        for _ in range(10):
-            g = random_digraph(rng, max_n=4)
-            n = 2
+        for n, loops, _ in product((1, 2, 3), (False, True), range(20)):
+            g = corpus_digraph(rng, max_n=5, loops=loops)
             delta = diagonal_component(g, n)
-            power = direct_power(g, n)
-            comps = connected_components(power)
-            diag = {power_index(g.vertex_count, (v, v)) for v in range(g.vertex_count)}
-            expected = frozenset().union(*(c for c in comps if c & diag)) if diag else frozenset()
-            assert delta == expected
+            comps = connected_components(direct_power(g, n))
+            diag = {power_index(g.vertex_count, (v,) * n) for v in range(g.vertex_count)}
+            assert delta == frozenset().union(*(c for c in comps if c & diag)), (n, g.edges)
 
 
 class TestOrientedTree:

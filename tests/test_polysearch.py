@@ -151,9 +151,22 @@ class TestFindTsi:
         assert t.values == (0, 1)
 
     def test_budget_checked_before_enumerating_tuples(self, monkeypatch):
-        monkeypatch.setattr(polysearch, "tsi_system", None)  # any use fails
+        monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
         with pytest.raises(BudgetExceeded):
             find_tsi(TRIANGLE, 4, budget=80)
+
+    def test_pattern_merges_join_exactly_equal_argument_sets(self):
+        for k, n in product(range(1, 5), range(1, 5)):
+            uf = polysearch._UnionFind(n ** k)
+            for i, j in polysearch._merge_pairs(tsi_system(k), n):
+                uf.union(i, j)
+            classes: dict[int, set[int]] = {}
+            by_set: dict[frozenset[int], set[int]] = {}
+            for idx, tup in enumerate(product(range(n), repeat=k)):
+                classes.setdefault(uf.find(idx), set()).add(idx)
+                by_set.setdefault(frozenset(tup), set()).add(idx)
+            assert sorted(map(sorted, classes.values())) == sorted(map(sorted, by_set.values())), \
+                (k, n)
 
     def test_triangle_binary_none(self):
         assert find_tsi(TRIANGLE, 2) is None
@@ -256,7 +269,7 @@ DENSE_SYSTEMS = {
     "wnu3": lambda h: wnu_system(3),
     "majority": lambda h: majority_system(),
     "siggers": lambda h: siggers_system(),
-    "tsi2": lambda h: tsi_system(2, h.vertex_count),
+    "tsi2": lambda h: tsi_system(2),
 }
 
 
@@ -399,7 +412,7 @@ class TestRelabelling:
 
 CORRUPTED_SOLVERS = """
     import sys
-    from hcolor import classify, homsolver, polysearch
+    from hcolor import classify, homsolver, minpath, polysearch, spectree
     from hcolor.algebra import table_from_function, trivial_pointing
     from hcolor.digraph import Digraph
     from hcolor.errors import ConstructionStuck, VerificationFailed
@@ -439,6 +452,12 @@ CORRUPTED_SOLVERS = """
     # negation is not idempotent, so it points no singleton to itself
     negation = table_from_function(2, 2, lambda a: 1 - a[0])
     expect_failure(lambda: trivial_pointing(negation, 0), ConstructionStuck)
+
+    # a common path that maps onto no input must not be returned
+    minpath.path_onto_hom = lambda q, p: None
+    expect_failure(lambda: minpath.common_onto_minimal_path([minpath.OrientedPath("1")]))
+    spectree.is_oriented_tree = lambda g: False
+    expect_failure(lambda: spectree.compile_tree(spectree.canned_triad()))
 """
 
 
@@ -453,7 +472,8 @@ def test_verification_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     # each corruption is caught by the check meant for it
     expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
-                "retraction is not", "retraction is onto", "not idempotent at 0")
+                "retraction is not", "retraction is onto", "not idempotent at 0",
+                "does not map onto", "not an oriented tree")
     lines = proc.stdout.splitlines()
     assert len(lines) == len(expected), proc.stdout
     assert all(line.startswith("caught:") and part in line
