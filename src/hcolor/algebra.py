@@ -1,9 +1,10 @@
 """Finite operations and the algebraic machinery over special trees.
 
-Operations are explicit tables or lazy composition trees.  The composition
-g <- f of an n-ary g with a k-ary f is the kn-ary operation applying f to n
-consecutive blocks and g to the results; its arity grows multiplicatively,
-so composed operations are never materialized as tables.
+An `Operation` is an explicit table or a lazy composition; both have
+`size`, `arity` and `apply`, and one may be nested in the other.  The
+composition g <- f of an n-ary g with a k-ary f is the kn-ary operation
+applying f to n consecutive blocks and g to the results; its arity grows
+multiplicatively, so composed operations are never materialized as tables.
 
 The constructive part (binary extensions, weak-pointing certificates, the
 full-domain WNU extension) re-verifies every object it builds: certificates
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .digraph import Digraph, diagonal_component, power_index
+from .digraph import Digraph, connected_components, diagonal_component, power_index
 from .errors import (
     ArityBudgetExceeded,
     BudgetExceeded,
@@ -63,38 +64,12 @@ class OperationTable:
         return self.apply(args)
 
 
-class OperationExpr:
-    """Either a table leaf or a lazy composition node."""
-
-    size: int
-    arity: int
-
-    def evaluate(self, args) -> int:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class TableExpr(OperationExpr):
-    table: OperationTable
-
-    @property
-    def size(self) -> int:
-        return self.table.size
-
-    @property
-    def arity(self) -> int:
-        return self.table.arity
-
-    def evaluate(self, args) -> int:
-        return self.table.apply(args)
-
-
-@dataclass(frozen=True)
-class ComposeExpr(OperationExpr):
+class ComposeExpr:
     """g <- f: outer g applied to f evaluated on consecutive argument blocks."""
 
-    outer: OperationExpr
-    inner: OperationExpr
+    outer: Operation
+    inner: Operation
 
     def __post_init__(self) -> None:
         if self.outer.size != self.inner.size:
@@ -108,17 +83,16 @@ class ComposeExpr(OperationExpr):
     def arity(self) -> int:
         return self.outer.arity * self.inner.arity
 
-    def evaluate(self, args) -> int:
+    def apply(self, args) -> int:
         k = self.inner.arity
         if len(args) != self.arity:
             raise ValueError("argument count must match arity")
         inner_vals = [
-            self.inner.evaluate(args[i * k:(i + 1) * k]) for i in range(self.outer.arity)]
-        return self.outer.evaluate(inner_vals)
+            self.inner.apply(args[i * k:(i + 1) * k]) for i in range(self.outer.arity)]
+        return self.outer.apply(inner_vals)
 
 
-def as_expr(op: OperationTable | OperationExpr) -> OperationExpr:
-    return TableExpr(op) if isinstance(op, OperationTable) else op
+Operation = OperationTable | ComposeExpr
 
 
 def table_from_function(size: int, arity: int, fn) -> OperationTable:
@@ -187,19 +161,18 @@ def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
             and _wnu_on(t, sub))
 
 
-def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
+def is_polymorphism(h: Digraph, op: Operation,
                     budget: int = DEFAULT_POLY_BUDGET) -> bool:
     """Edge preservation, exhaustive over edge tuples within the budget.
 
     A table is checked by index arithmetic: for each choice of the first
     k - 1 edges, the tail and head indices of that prefix are computed once,
-    and each last edge is tested against per-vertex successor bitmasks.  An
-    expression, such as a composition, is evaluated tuple by tuple.
+    and each last edge is tested against per-vertex successor bitmasks.  A
+    composition (or a nullary table) is applied tuple by tuple.
     """
-    expr = as_expr(op)
-    if expr.size != h.vertex_count:
+    if op.size != h.vertex_count:
         raise ValueError("operation base size must match the digraph")
-    k = expr.arity
+    k = op.arity
     edges = h.edges_sorted
     if not edges:
         return True
@@ -209,8 +182,8 @@ def is_polymorphism(h: Digraph, op: OperationTable | OperationExpr,
     if isinstance(op, OperationTable) and k > 0:
         return _table_preserves_edges(h, op)
     for chosen in product(edges, repeat=k):
-        tail = expr.evaluate([e[0] for e in chosen])
-        head = expr.evaluate([e[1] for e in chosen])
+        tail = op.apply([e[0] for e in chosen])
+        head = op.apply([e[1] for e in chosen])
         if (tail, head) not in h.edges:
             return False
     return True
@@ -249,26 +222,27 @@ def _is_special_polymer(p: OperationTable) -> bool:
     return all(p(x, p(x, y)) == p(x, y) for x in range(p.size) for y in range(p.size))
 
 
-def make_special(w: OperationTable) -> tuple[OperationExpr, OperationTable]:
+def make_special(w: OperationTable) -> tuple[Operation, OperationTable]:
     """Iterate self-composition of a WNU until its polymer is special.
 
     The polymer of the m-fold composition sends (x, y) to the m-th iterate
     of z -> x o z applied to y, so only polymer tables are materialized; the
-    composed WNU is returned as a lazy expression.  Specialness of the m-th
-    polymer p is p(x, p(x, y)) = p(x, y); some m <= size! always works.
+    composed WNU is returned as a lazy composition (w itself when m is 1).
+    Specialness of the m-th polymer p is p(x, p(x, y)) = p(x, y); some
+    m <= size! always works.
     """
     base = binary_polymer(w)
-    expr: OperationExpr = TableExpr(w)
+    expr: Operation = w
     polymer = base
     m = 1
     cap = factorial(w.size)
     while not _is_special_polymer(polymer):
         if m >= cap:
-            raise AssertionError("special polymer must appear within size! iterates")
+            raise ConstructionStuck("special polymer must appear within size! iterates")
         prev = polymer
         polymer = table_from_function(
             w.size, 2, lambda args, p=prev: base(args[0], p(args[0], args[1])))
-        expr = ComposeExpr(TableExpr(w), expr)
+        expr = ComposeExpr(w, expr)
         m += 1
     return expr, polymer
 
@@ -290,16 +264,15 @@ def star_table(polymer: OperationTable) -> OperationTable:
 
 def closure(s: frozenset[int], ops, budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[int]:
     """Least superset of s closed under every operation."""
-    exprs = [as_expr(op) for op in ops]
     current = set(s)
     changed = True
     while changed:
         changed = False
-        for expr in exprs:
-            if len(current) ** expr.arity > budget:
+        for op in ops:
+            if len(current) ** op.arity > budget:
                 raise BudgetExceeded("closure enumeration exceeds budget")
-            for args in product(sorted(current), repeat=expr.arity):
-                val = expr.evaluate(args)
+            for args in product(sorted(current), repeat=op.arity):
+                val = op.apply(args)
                 if val not in current:
                     current.add(val)
                     changed = True
@@ -371,7 +344,7 @@ class WeakPointingCertificate:
     regardless of i.
     """
 
-    op: OperationExpr
+    op: Operation
     x_set: frozenset[int]
     y_set: frozenset[int]
     witnesses: tuple[tuple[int, ...], ...]
@@ -386,21 +359,20 @@ def verify_weak_pointing(cert: WeakPointingCertificate) -> bool:
         base = list(cert.witnesses[i])
         for x in sorted(cert.x_set):
             base[i] = x
-            if cert.op.evaluate(base) not in cert.y_set:
+            if cert.op.apply(base) not in cert.y_set:
                 return False
         if cert.alpha is not None:
             for u, target in sorted(cert.alpha.items()):
                 base[i] = u
-                if cert.op.evaluate(base) != target:
+                if cert.op.apply(base) != target:
                     return False
     return True
 
 
-def trivial_pointing(op: OperationTable | OperationExpr, x: int) -> WeakPointingCertificate:
+def trivial_pointing(op: Operation, x: int) -> WeakPointingCertificate:
     """Points {x} to {x} with all-x witnesses; needs only idempotency at x."""
-    expr = as_expr(op)
-    wit = tuple(((x,) * expr.arity,) * expr.arity)
-    cert = WeakPointingCertificate(expr, frozenset({x}), frozenset({x}), wit)
+    wit = tuple(((x,) * op.arity,) * op.arity)
+    cert = WeakPointingCertificate(op, frozenset({x}), frozenset({x}), wit)
     if not verify_weak_pointing(cert):
         raise ConstructionStuck(f"operation is not idempotent at {x}")
     return cert
@@ -459,7 +431,7 @@ class AbsorptionCertificate:
 
     superset: frozenset[int]
     subset: frozenset[int]
-    op: OperationTable | OperationExpr
+    op: Operation
     polymer: OperationTable | None = None
 
 
@@ -472,21 +444,21 @@ def verify_absorption(cert: AbsorptionCertificate,
         (o,) = sub
         p = cert.polymer
         return all(p(o, x) == o for x in sorted(sup))
-    expr = as_expr(cert.op)
-    k = expr.arity
+    op = cert.op
+    k = op.arity
     if len(sup) ** k > budget:
         raise BudgetExceeded("absorption check exceeds budget")
     for args in product(sorted(sup), repeat=k):
-        if expr.evaluate(args) not in sup:
+        if op.apply(args) not in sup:
             return False
-    inside = all(expr.evaluate(args) in sub for args in product(sorted(sub), repeat=k))
+    inside = all(op.apply(args) in sub for args in product(sorted(sub), repeat=k))
     if not inside:
         return False
     for i in range(k):
         for free in sorted(sup):
             for rest in product(sorted(sub), repeat=k - 1):
                 args = rest[:i] + (free,) + rest[i:]
-                if expr.evaluate(args) not in sub:
+                if op.apply(args) not in sub:
                     return False
     return True
 
@@ -506,14 +478,21 @@ def find_singleton_absorber(tree: SpecialTree, polymer: OperationTable) -> int:
     raise NoneFound("no singleton absorber; polymer is not special or tree not Taylor")
 
 
-def verify_preceq_absorption(tree: SpecialTree, o: int, polymer: OperationTable) -> bool:
-    """Comparable template pairs collapse to the lower element under o."""
+def comparable_pair_failure(tree: SpecialTree, o: int,
+                            op: OperationTable) -> tuple[int, int] | None:
+    """The first comparable template pair a <= a' (on A, then on B, in
+    sorted order) with op(a, a') != a, or None."""
     for side in (tree.a_vertices, tree.b_vertices):
         for a in sorted(side):
             for ap in sorted(side):
-                if preceq(tree, o, a, ap) and polymer(a, ap) != a:
-                    return False
-    return True
+                if preceq(tree, o, a, ap) and op(a, ap) != a:
+                    return a, ap
+    return None
+
+
+def verify_preceq_absorption(tree: SpecialTree, o: int, polymer: OperationTable) -> bool:
+    """Comparable template pairs collapse to the lower element under o."""
+    return comparable_pair_failure(tree, o, polymer) is None
 
 
 # binary extension machinery
@@ -527,20 +506,12 @@ def _anchor_map(tree: SpecialTree, anchor: int, c_list: list[int]) -> list[int |
     anchor and c or at/beyond c.
     """
     g = tree.digraph
-    comp = [-1] * g.vertex_count
-    nxt = 0
-    for start in range(g.vertex_count):
-        if comp[start] >= 0 or start == anchor:
-            continue
-        stack = [start]
-        comp[start] = nxt
-        while stack:
-            u = stack.pop()
-            for w in tree.tree_adjacency[u]:
-                if w != anchor and comp[w] < 0:
-                    comp[w] = nxt
-                    stack.append(w)
-        nxt += 1
+    parts = connected_components(
+        Digraph(g.vertex_count, frozenset(e for e in g.edges if anchor not in e)))
+    comp = [0] * g.vertex_count
+    for i, part in enumerate(parts):
+        for v in part:
+            comp[v] = i
     by_comp: dict[int, int] = {}
     for c in c_list:
         if comp[c] in by_comp:
@@ -651,7 +622,7 @@ def _point_pair(tree: SpecialTree, anchor: int, c_list: list[int],
             c_list, star, {(x, y): z, (y, x): z} if x != y else {})
         tau = extend_binary(tree, anchor, frozenset(c_list), gamma, star, terms)
         cert = WeakPointingCertificate(
-            TableExpr(tau), frozenset({x, y}), frozenset({z}),
+            tau, frozenset({x, y}), frozenset({z}),
             ((z, z), (z, z)), {u: tau(u, z) for u in c_list})
         if not verify_weak_pointing(cert):
             raise ConstructionStuck("pair certificate failed verification")
@@ -665,7 +636,7 @@ def _point_pair(tree: SpecialTree, anchor: int, c_list: list[int],
         c_list, star, {(x, c): xp, (c, x): xp, (y, c): yp, (c, y): yp})
     tau = extend_binary(tree, anchor, frozenset(c_list), gamma, star, terms)
     first = WeakPointingCertificate(
-        TableExpr(tau), frozenset({x, y}), frozenset({xp, yp}),
+        tau, frozenset({x, y}), frozenset({xp, yp}),
         ((c, c), (c, c)), {u: tau(u, c) for u in c_list})
     if not verify_weak_pointing(first):
         raise ConstructionStuck("pair certificate failed verification")
@@ -698,7 +669,8 @@ def build_pointing_for_neighborhood(
             return trivial_pointing(star, xs[0])
         x, y = xs[0], xs[1]
         pair_cert = _point_pair(tree, anchor, c_list, star, x, y, arity_budget)
-        assert pair_cert.alpha is not None
+        if pair_cert.alpha is None:
+            raise ConstructionStuck("pair certificate carries no symmetric map")
         targets = frozenset(pair_cert.alpha[u] for u in xs)
         widened = WeakPointingCertificate(
             pair_cert.op, frozenset(xs), targets, pair_cert.witnesses, pair_cert.alpha)
@@ -744,7 +716,8 @@ def build_pointing_for_af(
     eta: dict[int, int] = {}
     for c in sorted(c_set):
         toward = [w for w in tree.template_adjacency[c] if dist_e(tree, o, w) == k - 1]
-        assert len(toward) == 1
+        if len(toward) != 1:
+            raise ConstructionStuck(f"{c} has {len(toward)} neighbors toward {o}")
         eta[c] = toward[0]
     if set(eta.values()) != d_set:
         raise ConstructionStuck("toward-o projection is not onto the image set")
@@ -817,8 +790,9 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
         if all(v in a_set for v in args) or all(v in b_set for v in args):
             return tau.apply(args)
         if power_index(size, args) in delta:
-            assert all(edge_of[v] is not None for v in args)
             edges = [edge_of[v] for v in args]
+            if None in edges:
+                raise ConstructionStuck(f"diagonal-component tuple {args} leaves the paths")
             if len(set(edges)) == 1:
                 return least_interior(args)
             for i in range(n):
@@ -829,7 +803,8 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
             return tau.apply(args)
         levels = [lv[v] for v in args]
         if len(set(levels)) == 1:
-            assert all(edge_of[v] is not None for v in args)
+            if any(edge_of[v] is None for v in args):
+                raise ConstructionStuck(f"one-level tuple {args} leaves the paths")
             return least_interior(args)
         for i in range(n):
             others = {levels[j] for j in range(n) if j != i}

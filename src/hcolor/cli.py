@@ -23,7 +23,7 @@ from .classify import (
 )
 from .digraph import DEFAULT_POWER_BUDGET, read_dg, write_dg
 from .errors import BudgetExceeded, HcolorError
-from .homsolver import arc_consistency, build_instance, consistency_23, solve_instance
+from .homsolver import arc_consistency, build_instance, consistency_23, solve_hom
 from .minpath import OrientedPath
 from .polysearch import (
     DEFAULT_INDICATOR_BUDGET,
@@ -109,15 +109,15 @@ def _cmd_solve(args) -> int:
     x = read_dg(args.input)
     h = read_dg(args.target)
     pins = _parse_pins(args.pin)
-    inst = build_instance(x, h, pins)
     if args.method == "bt":
-        found = solve_instance(inst, args.budget_nodes)
+        found = solve_hom(x, h, pins, args.budget_nodes)
         if found is None:
             print("no homomorphism")
             return EXIT_NONE
         for var, val in enumerate(found):
             print(f"{var} {val}")
         return EXIT_FOUND
+    inst = build_instance(x, h, pins)
     if args.method == "ac":
         reduced = arc_consistency(inst)
         if reduced is None:

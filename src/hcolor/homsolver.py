@@ -265,10 +265,6 @@ def is_homomorphism(x: Digraph, h: Digraph, mapping: tuple[int, ...],
 def solve_hom(x: Digraph, h: Digraph, pins: dict[int, int] | None = None,
               node_budget: int | None = None) -> tuple[int, ...] | None:
     """A verified homomorphism x -> h respecting the pins, or None."""
-    if x.vertex_count == 0:
-        return ()
-    if h.vertex_count == 0:
-        return None
     inst = build_instance(x, h, pins)
     found = solve_instance(inst, node_budget)
     if found is not None and not is_homomorphism(x, h, found, pins):

@@ -13,6 +13,7 @@ from functools import cached_property
 
 from .digraph import Digraph
 from .errors import HeightMismatch, NotMinimal, SearchExhausted, VerificationFailed
+from .homsolver import solve_hom
 
 
 @dataclass(frozen=True)
@@ -71,53 +72,17 @@ def is_minimal(p: OrientedPath) -> bool:
 def path_onto_hom(q: OrientedPath, p: OrientedPath) -> tuple[int, ...] | None:
     """A position map q -> p preserving edges, endpoints to endpoints, onto p.
 
-    Any endpoint-pinned homomorphism between paths is automatically onto:
-    its image is a walk from position 0 to the last position of p, and a
-    +-1 walk covers every position in between.  The map is found by forward
-    reachability over positions and reconstructed backwards.
+    The map is an endpoint-pinned homomorphism found by `solve_hom`.  Any
+    such map between paths is onto: its image is a walk from position 0 to
+    the last position of p, and a +-1 walk covers every position in
+    between.  It is re-checked to be onto all the same.
     """
-    m = p.length
-    reach: list[set[int]] = [{0}]
-    for c in q.directions:
-        cur = reach[-1]
-        nxt: set[int] = set()
-        for pos in cur:
-            if c == "1":
-                if pos < m and p.directions[pos] == "1":
-                    nxt.add(pos + 1)
-                if pos > 0 and p.directions[pos - 1] == "0":
-                    nxt.add(pos - 1)
-            else:
-                if pos < m and p.directions[pos] == "0":
-                    nxt.add(pos + 1)
-                if pos > 0 and p.directions[pos - 1] == "1":
-                    nxt.add(pos - 1)
-        if not nxt:
-            return None
-        reach.append(nxt)
-    if m not in reach[-1]:
-        return None
-    # walk back from the pinned terminal position
-    positions = [m]
-    for j in range(q.length, 0, -1):
-        c = q.directions[j - 1]
-        cur = positions[-1]
-        chosen = None
-        for prev in sorted(reach[j - 1]):
-            if c == "1":
-                ok = (prev + 1 == cur and prev < m and p.directions[prev] == "1") or (
-                    prev - 1 == cur and prev > 0 and p.directions[prev - 1] == "0")
-            else:
-                ok = (prev + 1 == cur and prev < m and p.directions[prev] == "0") or (
-                    prev - 1 == cur and prev > 0 and p.directions[prev - 1] == "1")
-            if ok:
-                chosen = prev
-                break
-        assert chosen is not None
-        positions.append(chosen)
-    positions.reverse()
-    assert positions[0] == 0 and set(positions) == set(range(m + 1))
-    return tuple(positions)
+    if q.length == 0:  # both pins would fall on q's single position
+        return (0,) if p.length == 0 else None
+    found = solve_hom(q.to_digraph(), p.to_digraph(), {0: 0, q.length: p.length})
+    if found is not None and set(found) != set(range(p.vertex_count)):
+        raise VerificationFailed(f"map of {q} into {p} is not onto")
+    return found
 
 
 def minimal_path_counts(height: int, max_len: int) -> dict[int, list[int]]:
@@ -179,7 +144,8 @@ def sample_minimal_path(rng, height: int, max_len: int) -> OrientedPath:
         dirs.append(c)
         lvl = nl
     p = OrientedPath("".join(dirs))
-    assert is_minimal(p) and p.height == height
+    if not (is_minimal(p) and p.height == height):
+        raise VerificationFailed(f"sampled path {p} is not minimal of height {height}")
     return p
 
 

@@ -36,7 +36,6 @@ are the simple reference the lazy path is tested against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -49,14 +48,13 @@ from .algebra import (
     is_tsi,
     is_wnu,
 )
-from .digraph import Digraph, power_step
+from .digraph import Digraph, connected_components, power_step
 from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
 DEFAULT_INDICATOR_BUDGET = 4_000_000
 
 Pattern = tuple[str, ...]
-Ranges = dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,10 @@ def _rotations(k: int) -> list[Pattern]:
     return [("x",) * i + ("y",) + ("x",) * (k - 1 - i) for i in range(k)]
 
 
-def _ranged(ranges: Ranges | None) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    if not ranges:
-        return ()
-    return tuple(sorted((v, tuple(vals)) for v, vals in ranges.items()))
-
-
-def wnu_system(k: int, ranges: Ranges | None = None) -> IdentitySystem:
+def wnu_system(k: int) -> IdentitySystem:
     """All one-differing-argument patterns merged, diagonal pinned."""
     rots = _rotations(k)
-    merges = tuple((rots[0], rot, _ranged(ranges)) for rot in rots[1:])
+    merges = tuple((rots[0], rot, ()) for rot in rots[1:])
     pins = ((("x",) * k, "x", ()),)
     return IdentitySystem(k, merges, pins)
 
@@ -97,7 +89,7 @@ def wnu_on_sets_system(k: int, sets: list[tuple[int, ...]]) -> IdentitySystem:
     rots = _rotations(k)
     merges = []
     for vals in sets:
-        rng = _ranged({"x": tuple(vals), "y": tuple(vals)})
+        rng = (("x", tuple(vals)), ("y", tuple(vals)))
         merges.extend((rots[0], rot, rng) for rot in rots[1:])
     pins = ((("x",) * k, "x", ()),)
     return IdentitySystem(k, tuple(merges), pins)
@@ -250,28 +242,6 @@ def indicator(h: Digraph, sys: IdentitySystem,
     return Indicator(inst, tuple(class_of), k, n)
 
 
-def _components(inst: CspInstance) -> list[list[int]]:
-    nvars = inst.variable_count
-    succs, preds = inst.adjacency
-    seen = [False] * nvars
-    comps = []
-    for start in range(nvars):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in succs[u] + preds[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def solve_indicator(ind: Indicator, node_budget: int | None = None
                     ) -> tuple[int, ...] | None:
     """Assignment per class, or None.
@@ -280,7 +250,8 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     where idempotency makes refutations bite), smallest first within.
     """
     inst = ind.instance
-    comps = _components(inst)
+    comps = [sorted(part) for part in connected_components(
+        Digraph.from_edges(inst.variable_count, inst.constraints))]
     comp_of = [0] * inst.variable_count
     for ci, comp in enumerate(comps):
         for v in comp:

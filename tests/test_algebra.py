@@ -15,12 +15,12 @@ from hcolor.algebra import (
     AbsorptionCertificate,
     ComposeExpr,
     OperationTable,
-    TableExpr,
     WeakPointingCertificate,
     binary_polymer,
     build_pointing_for_af,
     build_pointing_for_neighborhood,
     closure,
+    comparable_pair_failure,
     compose_pointing,
     eval_term,
     extend_binary,
@@ -92,11 +92,11 @@ class TestOperationExpr:
                 continue
             f = table_from_function(size, kf, lambda a, r=rng.random(): hash(a) % size)
             g = table_from_function(size, kg, lambda a: max(a))
-            comp = ComposeExpr(TableExpr(g), TableExpr(f))
+            comp = ComposeExpr(g, f)
             assert comp.arity == kf * kg
             for args in product(range(size), repeat=kf * kg):
                 blocks = [f.apply(args[i * kf:(i + 1) * kf]) for i in range(kg)]
-                assert comp.evaluate(args) == g.apply(blocks)
+                assert comp.apply(args) == g.apply(blocks)
 
 
 class TestPredicates:
@@ -131,13 +131,19 @@ class TestPredicates:
             is_polymorphism(g, proj, budget=5)
 
 
+def identity_after(table):
+    """The table's operation as a composition under the unary identity,
+    which `is_polymorphism` checks tuple by tuple."""
+    return ComposeExpr(table_from_function(table.size, 1, lambda a: a[0]), table)
+
+
 class TestTablePathMatchesExpr:
     """The index path for tables against tuple-by-tuple evaluation."""
 
     @staticmethod
     def agree(h, table):
         fast = is_polymorphism(h, table)
-        assert fast == is_polymorphism(h, TableExpr(table)), (sorted(h.edges), table)
+        assert fast == is_polymorphism(h, identity_after(table)), (sorted(h.edges), table)
         return fast
 
     def test_found_tables_and_one_value_changes(self):
@@ -173,13 +179,14 @@ class TestTablePathMatchesExpr:
 
         g = Digraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         proj = table_from_function(3, 3, lambda a: a[0])
+        ops = (proj, identity_after(proj))
         monkeypatch.setattr(algebra, "product", None)  # any use fails
-        for op in (proj, TableExpr(proj)):
+        for op in ops:
             with pytest.raises(BudgetExceeded):
                 is_polymorphism(g, op, budget=26)
         monkeypatch.undo()
-        assert is_polymorphism(g, proj, budget=27)
-        assert is_polymorphism(g, TableExpr(proj), budget=27)
+        for op in ops:
+            assert is_polymorphism(g, op, budget=27)
 
 
 class TestPolymer:
@@ -213,7 +220,7 @@ class TestMakeSpecial:
     def test_already_special(self):
         expr, p = make_special(BOOL_MAJORITY)
         assert p == binary_polymer(BOOL_MAJORITY)
-        assert isinstance(expr, TableExpr)
+        assert expr is BOOL_MAJORITY
 
     def test_swap_polymer_needs_two_rounds(self):
         # commutative WNU on 3 elements whose polymer swaps 1 and 2 around 0
@@ -354,6 +361,19 @@ class TestSingletonAbsorber:
         side = tree.a_vertices if o in tree.a_vertices else tree.b_vertices
         assert all(p(o, x) == o for x in side)
 
+    def test_first_comparable_pair_failure(self):
+        # under the second projection the upper element of a comparable pair
+        # wins; o precedes every A-vertex, so (o, next A-vertex) fails first
+        from hcolor.classify import _check_star_collapse_below
+        from hcolor.spectree import canned_triad
+
+        tree = compile_tree(canned_triad())
+        second = table_from_function(39, 2, lambda a: a[1])
+        o, first = sorted(tree.a_vertices)[:2]
+        assert comparable_pair_failure(tree, o, second) == (o, first)
+        assert not verify_preceq_absorption(tree, o, second)
+        assert _check_star_collapse_below(tree, o, second) == f"fail: {o} * {first} = {first}"
+
     def test_diagnostic_when_not_special(self):
         # second projection absorbs nowhere on the triad: every template
         # vertex has a two-step neighborhood with more than itself in it
@@ -370,24 +390,24 @@ class TestWeakPointing:
     def test_trivial_cases(self):
         idem = table_from_function(2, 2, lambda a: a[0])
         cert = WeakPointingCertificate(
-            TableExpr(idem), frozenset({0}), frozenset({0}), ((0, 0), (0, 0)))
+            idem, frozenset({0}), frozenset({0}), ((0, 0), (0, 0)))
         assert verify_weak_pointing(cert)
 
     def test_meet_points_to_zero(self):
         cert = WeakPointingCertificate(
-            TableExpr(BOOL_MEET), frozenset({0, 1}), frozenset({0}),
+            BOOL_MEET, frozenset({0, 1}), frozenset({0}),
             ((1, 0), (0, 1)))
         assert verify_weak_pointing(cert)
 
     def test_projection_fails(self):
         cert = WeakPointingCertificate(
-            TableExpr(table_from_function(2, 2, lambda a: a[0])),
+            table_from_function(2, 2, lambda a: a[0]),
             frozenset({0, 1}), frozenset({0}), ((0, 0), (0, 0)))
         assert not verify_weak_pointing(cert)
 
     def test_alpha_mismatch_detected(self):
         cert = WeakPointingCertificate(
-            TableExpr(BOOL_MEET), frozenset({0, 1}), frozenset({0}),
+            BOOL_MEET, frozenset({0, 1}), frozenset({0}),
             ((1, 0), (0, 1)), alpha={0: 0, 1: 1})
         assert not verify_weak_pointing(cert)  # coordinate 1 with u=1 gives 0
 
@@ -395,10 +415,10 @@ class TestWeakPointing:
 class TestComposePointing:
     def test_meet_chain(self):
         first = WeakPointingCertificate(
-            TableExpr(BOOL_MEET), frozenset({0, 1}), frozenset({0}),
+            BOOL_MEET, frozenset({0, 1}), frozenset({0}),
             ((1, 0), (0, 1)))
         second = WeakPointingCertificate(
-            TableExpr(BOOL_MEET), frozenset({0}), frozenset({0}),
+            BOOL_MEET, frozenset({0}), frozenset({0}),
             ((0, 0), (0, 0)))
         out = compose_pointing(first, second)
         assert out.op.arity == 4
@@ -409,10 +429,10 @@ class TestComposePointing:
     def test_four_element_lattice(self):
         meet4 = table_from_function(4, 2, lambda a: a[0] & a[1])
         down = WeakPointingCertificate(
-            TableExpr(meet4), frozenset({0, 1, 2, 3}), frozenset({0, 1}),
+            meet4, frozenset({0, 1, 2, 3}), frozenset({0, 1}),
             ((1, 1), (1, 1)))
         finish = WeakPointingCertificate(
-            TableExpr(meet4), frozenset({0, 1}), frozenset({0}),
+            meet4, frozenset({0, 1}), frozenset({0}),
             ((0, 0), (0, 0)))
         assert verify_weak_pointing(down)
         assert verify_weak_pointing(finish)
@@ -421,10 +441,10 @@ class TestComposePointing:
 
     def test_rejects_bad_input(self):
         bad = WeakPointingCertificate(
-            TableExpr(table_from_function(2, 2, lambda a: a[0])),
+            table_from_function(2, 2, lambda a: a[0]),
             frozenset({0, 1}), frozenset({0}), ((0, 0), (0, 0)))
         good = WeakPointingCertificate(
-            TableExpr(BOOL_MEET), frozenset({0}), frozenset({0}),
+            BOOL_MEET, frozenset({0}), frozenset({0}),
             ((0, 0), (0, 0)))
         with pytest.raises(PreconditionViolated):
             compose_pointing(bad, good)

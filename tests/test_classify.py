@@ -94,6 +94,26 @@ class TestComputeCore:
             assert compute_core(g).core.vertex_count == g.vertex_count
 
 
+def brute_force_idempotent_power(endo: tuple[int, ...]) -> tuple[int, ...]:
+    """Walk the powers until one repeats; exactly one of them is idempotent."""
+    powers = []
+    r = endo
+    while r not in powers:
+        powers.append(r)
+        r = tuple(endo[x] for x in r)
+    (idem,) = [p for p in powers if all(p[p[x]] == p[x] for x in range(len(p)))]
+    return idem
+
+
+class TestIdempotentPower:
+    def test_matches_brute_force(self):
+        rng = random.Random(2014)
+        for _ in range(2000):
+            n = rng.randint(0, 9)
+            endo = tuple(rng.randrange(n) for _ in range(n))
+            assert classify._idempotent_power(endo) == brute_force_idempotent_power(endo), endo
+
+
 class TestSpecFromCore:
     def test_round_trip_on_special_tree(self):
         spec = canned_triad()

@@ -168,6 +168,14 @@ class TestSolveHom:
         assert solve_hom(empty, EDGE) == ()
         assert solve_hom(EDGE, empty) is None
 
+    def test_pins_checked_on_empty_digraphs(self):
+        empty = Digraph.from_edges(0, [])
+        with pytest.raises(InvalidPin):
+            solve_hom(empty, EDGE, pins={5: 0})
+        with pytest.raises(InvalidPin):
+            solve_hom(EDGE, empty, pins={0: 3})
+        assert solve_hom(empty, empty) == ()
+
     def test_deep_branching_no_recursion_limit(self):
         # thousands of independent branch points must not hit the
         # interpreter stack

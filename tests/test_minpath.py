@@ -118,6 +118,10 @@ class TestPathOntoHom:
     def test_taller_cannot_map_down(self):
         assert path_onto_hom(OrientedPath("11"), OrientedPath("1")) is None
 
+    def test_zero_length(self):
+        assert path_onto_hom(OrientedPath(""), OrientedPath("")) == (0,)
+        assert path_onto_hom(OrientedPath(""), OrientedPath("1")) is None
+
     @settings(max_examples=60, deadline=None)
     @given(st.text(alphabet="01", min_size=1, max_size=7),
            st.text(alphabet="01", min_size=1, max_size=7))

@@ -19,7 +19,7 @@ from hcolor.algebra import (
     is_tsi,
     is_wnu,
 )
-from hcolor.digraph import Digraph
+from hcolor.digraph import Digraph, connected_components
 from hcolor.errors import BudgetExceeded, InconsistentPins
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import (
@@ -371,7 +371,9 @@ class TestSolutionMemo:
     def test_each_distinct_sub_instance_solved_once(self, monkeypatch):
         tree = compile_tree(random_special_trees(1)[0])
         sys_ = top_bottom_system(tree)
-        components = len(polysearch._components(indicator(tree.digraph, sys_).instance))
+        inst = indicator(tree.digraph, sys_).instance
+        components = len(connected_components(
+            Digraph.from_edges(inst.variable_count, inst.constraints)))
         keys = record_solves(monkeypatch)
         assert find_polymorphism(tree.digraph, sys_) is not None
         assert len(keys) == len(set(keys))
@@ -411,10 +413,11 @@ class TestRelabelling:
 
 
 CORRUPTED_SOLVERS = """
+    import random
     import sys
     from hcolor import classify, homsolver, minpath, polysearch, spectree
     from hcolor.algebra import table_from_function, trivial_pointing
-    from hcolor.digraph import Digraph
+    from hcolor.digraph import Digraph, connected_components
     from hcolor.errors import ConstructionStuck, VerificationFailed
 
     assert sys.flags.optimize, "run under python -O"
@@ -454,8 +457,17 @@ CORRUPTED_SOLVERS = """
     expect_failure(lambda: trivial_pointing(negation, 0), ConstructionStuck)
 
     # a common path that maps onto no input must not be returned
+    path_onto_hom = minpath.path_onto_hom
     minpath.path_onto_hom = lambda q, p: None
     expect_failure(lambda: minpath.common_onto_minimal_path([minpath.OrientedPath("1")]))
+    minpath.path_onto_hom = path_onto_hom
+    # a path map that misses a position of the target is not returned
+    minpath.solve_hom = lambda x, h, pins: (0,) * x.vertex_count
+    expect_failure(lambda: minpath.path_onto_hom(minpath.OrientedPath("10"),
+                                                 minpath.OrientedPath("10")))
+    # a sampled path that is not minimal is not returned
+    minpath.is_minimal = lambda p: False
+    expect_failure(lambda: minpath.sample_minimal_path(random.Random(0), 2, 4))
     spectree.is_oriented_tree = lambda g: False
     expect_failure(lambda: spectree.compile_tree(spectree.canned_triad()))
 """
@@ -473,7 +485,8 @@ def test_verification_survives_optimized_mode():
     # each corruption is caught by the check meant for it
     expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
                 "retraction is not", "retraction is onto", "not idempotent at 0",
-                "does not map onto", "not an oriented tree")
+                "does not map onto", "is not onto", "is not minimal of height",
+                "not an oriented tree")
     lines = proc.stdout.splitlines()
     assert len(lines) == len(expected), proc.stdout
     assert all(line.startswith("caught:") and part in line
