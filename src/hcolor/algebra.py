@@ -210,16 +210,18 @@ def _table_preserves_edges(h: Digraph, table: OperationTable) -> bool:
 # polymer / special WNU / star
 
 def binary_polymer(w: OperationTable) -> OperationTable:
-    """x o y = w(x, ..., x, y); requires w to be a WNU."""
+    """x o y = w(x, ..., x, y), read at index x * (n^(k-1) + ... + n) + y;
+    requires w to be a WNU."""
     if not is_wnu(w):
         raise NotWNU("binary polymer requires a verified WNU table")
-    n = w.size
-    return table_from_function(
-        n, 2, lambda args: w.apply((args[0],) * (w.arity - 1) + (args[1],)))
+    n, wv = w.size, w.values
+    stride = sum(n ** i for i in range(1, w.arity))
+    return OperationTable(n, 2, tuple(wv[x * stride + y] for x in range(n) for y in range(n)))
 
 
 def _is_special_polymer(p: OperationTable) -> bool:
-    return all(p(x, p(x, y)) == p(x, y) for x in range(p.size) for y in range(p.size))
+    n, pv = p.size, p.values
+    return all(pv[x * n + pv[x * n + y]] == pv[x * n + y] for x in range(n) for y in range(n))
 
 
 def make_special(w: OperationTable) -> tuple[Operation, OperationTable]:
@@ -232,34 +234,35 @@ def make_special(w: OperationTable) -> tuple[Operation, OperationTable]:
     m <= size! always works.
     """
     base = binary_polymer(w)
+    n, bv = w.size, base.values
     expr: Operation = w
     polymer = base
     m = 1
-    cap = factorial(w.size)
+    cap = factorial(n)
     while not _is_special_polymer(polymer):
         if m >= cap:
             raise ConstructionStuck("special polymer must appear within size! iterates")
-        prev = polymer
-        polymer = table_from_function(
-            w.size, 2, lambda args, p=prev: base(args[0], p(args[0], args[1])))
+        polymer = OperationTable(n, 2, tuple(
+            bv[i - i % n + z] for i, z in enumerate(polymer.values)))
         expr = ComposeExpr(w, expr)
         m += 1
     return expr, polymer
 
 
 def star_table(polymer: OperationTable) -> OperationTable:
-    """x * y: fold x through `size` right-applications of o to y."""
+    """x * y: fold x through `size` right-applications of o to y, applying
+    the column z -> z o y (index z * size + y) to every x at once."""
     if polymer.arity != 2:
         raise ValueError("polymer must be binary")
-
-    def fold(args):
-        x, y = args
-        z = x
-        for _ in range(polymer.size):
-            z = polymer(z, y)
-        return z
-
-    return table_from_function(polymer.size, 2, fold)
+    n, values = polymer.size, polymer.values
+    out = [0] * (n * n)
+    for y in range(n):
+        column = values[y::n]
+        zs = range(n)
+        for _ in range(n):
+            zs = [column[z] for z in zs]
+        out[y::n] = zs
+    return OperationTable(n, 2, tuple(out))
 
 
 def closure(s: frozenset[int], ops, budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[int]:
@@ -744,6 +747,78 @@ def build_pointing_for_af(
 
 # full-domain WNU extension
 
+def _odd_position(pattern: tuple[int, ...], default: int) -> int:
+    """-1 if every entry agrees; else the position of the one entry that
+    differs from all others, which agree; else `default`."""
+    if len(set(pattern)) == 1:
+        return -1
+    for i in range(len(pattern)):
+        others = set(pattern[:i] + pattern[i + 1:])
+        if len(others) == 1 and pattern[i] not in others:
+            return i
+    return default
+
+
+def _wnu_extension_values(tree: SpecialTree, tau: OperationTable,
+                          delta: frozenset[int]) -> list[int]:
+    """The value list of `extend_wnu`, from tau's by one lexicographic walk.
+
+    Rows share their first n - 1 coordinates.  Per row the off-component
+    answer (least interior vertex, or which coordinate to return) is looked
+    up per level of the last coordinate from a memo over level patterns.
+    Tuples that keep tau's value are never written.
+    """
+    size, n, tv = tau.size, tau.arity, tau.values
+    last = n - 1
+    side = [{"A": 0, "B": 1}.get(role[0], 2) for role in tree.roles]
+    edge_of = [role[1] if role[0] == "P" else -1 for role in tree.roles]
+    by_rank = [v for *_, v in sorted(
+        (role[1], role[2], v) for v, role in enumerate(tree.roles) if role[0] == "P")]
+    rank = [by_rank.index(v) if edge_of[v] >= 0 else size for v in range(size)]
+    lv, height = tree.levels.levels, tree.levels.height
+    in_delta = bytearray(size ** n)
+    for t in delta:
+        in_delta[t] = 1
+    out = list(tv)
+    picks: dict[tuple[int, ...], list[int]] = {}
+    for row, prefix in zip(range(0, size ** n, size), product(range(size), repeat=last)):
+        kept = side[prefix[0]]
+        if kept == 2 or any(side[u] != kept for u in prefix):
+            kept = -1
+        plv = tuple(lv[u] for u in prefix)
+        pick = picks.get(plv)
+        if pick is None:
+            pick = picks[plv] = [
+                _odd_position(plv + (level,), 0) for level in range(height + 1)]
+        pe = tuple(edge_of[u] for u in prefix)
+        on_paths = min(pe) >= 0
+        least = min(rank[u] for u in prefix)
+        for v in range(size):
+            if side[v] == kept:
+                continue  # top and bottom tuples keep tau's value
+            if in_delta[row + v]:
+                if not on_paths or edge_of[v] < 0:
+                    raise ConstructionStuck(
+                        f"diagonal-component tuple {prefix + (v,)} leaves the paths")
+                i = _odd_position(pe + (edge_of[v],), n)
+                if i < 0:
+                    out[row + v] = by_rank[min(least, rank[v])]
+                elif i < n:
+                    args = prefix + (v,)
+                    out[row + v] = tv[power_index(size, (args[i],) + args[:i] + args[i + 1:])]
+                continue
+            j = pick[lv[v]]
+            if j == last:
+                out[row + v] = v
+            elif j >= 0:
+                out[row + v] = prefix[j]
+            elif not on_paths or edge_of[v] < 0:
+                raise ConstructionStuck(f"one-level tuple {prefix + (v,)} leaves the paths")
+            else:
+                out[row + v] = by_rank[min(least, rank[v])]
+    return out
+
+
 def extend_wnu(tree: SpecialTree, tau: OperationTable,
                power_budget: int = DEFAULT_POLY_BUDGET) -> OperationTable:
     """Turn a polymorphism that is a WNU on the top and bottom levels into a
@@ -755,7 +830,8 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
     first (exactly two paths), or tau; off the diagonal component either the
     least interior vertex, the odd coordinate out, or the first coordinate.
     The least-vertex order ranks attached paths by template edge index and
-    breaks ties toward the bottom endpoint.
+    breaks ties toward the bottom endpoint.  The table is built by one
+    index walk over the power (`_wnu_extension_values`) and re-checked.
     """
     n = tau.arity
     h = tree.digraph
@@ -772,47 +848,8 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
         raise PreconditionViolated("input is not a WNU on the top level")
     if size ** n > power_budget:
         raise BudgetExceeded("power membership set exceeds budget")
-    # interior vertices carry (edge index, steps from the bottom endpoint)
-    sort_key: list[tuple[int, int] | None] = [None] * size
-    edge_of: list[int | None] = [None] * size
-    for v, role in enumerate(tree.roles):
-        if role[0] == "P":
-            sort_key[v] = (role[1], role[2])
-            edge_of[v] = role[1]
     delta = diagonal_component(h, n, power_budget)
-    lv = tree.levels
-    a_set, b_set = tree.a_vertices, tree.b_vertices
-
-    def least_interior(args) -> int:
-        return min(args, key=lambda v: sort_key[v])
-
-    def value(args) -> int:
-        if all(v in a_set for v in args) or all(v in b_set for v in args):
-            return tau.apply(args)
-        if power_index(size, args) in delta:
-            edges = [edge_of[v] for v in args]
-            if None in edges:
-                raise ConstructionStuck(f"diagonal-component tuple {args} leaves the paths")
-            if len(set(edges)) == 1:
-                return least_interior(args)
-            for i in range(n):
-                others = {edges[j] for j in range(n) if j != i}
-                if len(others) == 1 and edges[i] not in others:
-                    rotated = (args[i],) + args[:i] + args[i + 1:]
-                    return tau.apply(rotated)
-            return tau.apply(args)
-        levels = [lv[v] for v in args]
-        if len(set(levels)) == 1:
-            if any(edge_of[v] is None for v in args):
-                raise ConstructionStuck(f"one-level tuple {args} leaves the paths")
-            return least_interior(args)
-        for i in range(n):
-            others = {levels[j] for j in range(n) if j != i}
-            if len(others) == 1 and levels[i] not in others:
-                return args[i]
-        return args[0]
-
-    out = table_from_function(size, n, value)
+    out = OperationTable(size, n, tuple(_wnu_extension_values(tree, tau, delta)))
     if not is_polymorphism(h, out):
         raise ConstructionStuck("extension is not a polymorphism")
     if not is_wnu(out):

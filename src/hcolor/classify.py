@@ -341,10 +341,10 @@ def _check_anchor_absorption(tree: SpecialTree, o: int, polymer, star) -> tuple[
     checked = 0
     for b in anchors:
         nb = e_neighborhood(tree, frozenset({b}), 1)
-        c_set = sorted(c for c in nb if c != b and preceq(tree, o, b, c) and b != c)
+        c_set = sorted(c for c in nb if c != b and preceq(tree, o, b, c))
         if len(c_set) < 2:
             continue
-        if any(star(c, cp) not in set(c_set) for c in c_set for cp in c_set):
+        if not {star(c, cp) for c in c_set for cp in c_set} <= set(c_set):
             continue
         if any(all(polymer(c, cp) == c for cp in c_set) for c in c_set):
             continue

@@ -1,0 +1,92 @@
+"""Simple closure forms of operation-table constructions.
+
+Each function evaluates its table one argument tuple at a time through a
+Python closure, the way the library did before it built these tables by
+index arithmetic.  The differential tests compare the library against them.
+"""
+
+from math import factorial
+
+from hcolor.algebra import OperationTable, table_from_function
+from hcolor.digraph import power_index
+from hcolor.errors import ConstructionStuck
+
+
+def wnu_extension_values(tree, tau: OperationTable, delta) -> list[int]:
+    """The value list `extend_wnu` builds, case by case per argument tuple."""
+    n = tau.arity
+    size = tree.digraph.vertex_count
+    sort_key: list[tuple[int, int] | None] = [None] * size
+    edge_of: list[int | None] = [None] * size
+    for v, role in enumerate(tree.roles):
+        if role[0] == "P":
+            sort_key[v] = (role[1], role[2])
+            edge_of[v] = role[1]
+    lv = tree.levels
+    a_set, b_set = tree.a_vertices, tree.b_vertices
+
+    def least_interior(args) -> int:
+        return min(args, key=lambda v: sort_key[v])
+
+    def value(args) -> int:
+        if all(v in a_set for v in args) or all(v in b_set for v in args):
+            return tau.apply(args)
+        if power_index(size, args) in delta:
+            edges = [edge_of[v] for v in args]
+            if None in edges:
+                raise ConstructionStuck(f"diagonal-component tuple {args} leaves the paths")
+            if len(set(edges)) == 1:
+                return least_interior(args)
+            for i in range(n):
+                others = {edges[j] for j in range(n) if j != i}
+                if len(others) == 1 and edges[i] not in others:
+                    rotated = (args[i],) + args[:i] + args[i + 1:]
+                    return tau.apply(rotated)
+            return tau.apply(args)
+        levels = [lv[v] for v in args]
+        if len(set(levels)) == 1:
+            if any(edge_of[v] is None for v in args):
+                raise ConstructionStuck(f"one-level tuple {args} leaves the paths")
+            return least_interior(args)
+        for i in range(n):
+            others = {levels[j] for j in range(n) if j != i}
+            if len(others) == 1 and levels[i] not in others:
+                return args[i]
+        return args[0]
+
+    return list(table_from_function(size, n, value).values)
+
+
+def binary_polymer(w: OperationTable) -> OperationTable:
+    """x o y = w(x, ..., x, y), one call of w per pair."""
+    return table_from_function(
+        w.size, 2, lambda args: w.apply((args[0],) * (w.arity - 1) + (args[1],)))
+
+
+def special_polymer(w: OperationTable) -> tuple[int, OperationTable]:
+    """The least m whose m-fold polymer is special, with that polymer."""
+    base = binary_polymer(w)
+    polymer = base
+    m = 1
+    r = range(w.size)
+    while not all(polymer(x, polymer(x, y)) == polymer(x, y) for x in r for y in r):
+        if m >= factorial(w.size):
+            raise ConstructionStuck("special polymer must appear within size! iterates")
+        prev = polymer
+        polymer = table_from_function(
+            w.size, 2, lambda args, p=prev: base(args[0], p(args[0], args[1])))
+        m += 1
+    return m, polymer
+
+
+def star_table(polymer: OperationTable) -> OperationTable:
+    """x * y: fold x through `size` right-applications of o to y."""
+
+    def fold(args):
+        x, y = args
+        z = x
+        for _ in range(polymer.size):
+            z = polymer(z, y)
+        return z
+
+    return table_from_function(polymer.size, 2, fold)

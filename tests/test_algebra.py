@@ -1,10 +1,13 @@
+import dataclasses
+import functools
 import random
 from itertools import product
 
 import pytest
 
-from corpus import loopless_digraphs_up_to_iso
-from hcolor.digraph import Digraph
+import reference
+from corpus import loopless_digraphs_up_to_iso, random_special_trees
+from hcolor.digraph import Digraph, LevelAssignment, diagonal_component, power_index
 from hcolor.errors import (
     ConstructionStuck,
     DistanceNotUniform,
@@ -16,6 +19,7 @@ from hcolor.algebra import (
     ComposeExpr,
     OperationTable,
     WeakPointingCertificate,
+    _wnu_extension_values,
     binary_polymer,
     build_pointing_for_af,
     build_pointing_for_neighborhood,
@@ -682,3 +686,132 @@ class TestExtendWnu:
         for side in (tree.a_vertices, tree.b_vertices):
             for args in product(sorted(side), repeat=3):
                 assert out.apply(args) == tau.apply(args)
+
+
+def _outcome(build):
+    """The built value, or the message of the ConstructionStuck it raised."""
+    try:
+        return "ok", build()
+    except ConstructionStuck as exc:
+        return "stuck", str(exc)
+
+
+@functools.cache
+def corpus_extension_inputs():
+    """(tree, top-and-bottom WNU, diagonal component) per c7 corpus tree
+    that has such a WNU."""
+    from hcolor.polysearch import find_wnu_on_top_bottom
+
+    cases = []
+    for spec in random_special_trees(25):
+        tree = compile_tree(spec)
+        tau = find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+        if tau is not None:
+            cases.append((tree, tau, diagonal_component(tree.digraph, 3)))
+    return cases
+
+
+def random_wnu(rng: random.Random, size: int, arity: int) -> OperationTable:
+    values = [rng.randrange(size) for _ in range(size ** arity)]
+    for x in range(size):
+        for y in range(size):
+            val = x if x == y else rng.randrange(size)
+            for pos in range(arity):
+                args = (x,) * pos + (y,) + (x,) * (arity - 1 - pos)
+                values[power_index(size, args)] = val
+    return OperationTable(size, arity, tuple(values))
+
+
+def composition_depth(expr) -> int:
+    return composition_depth(expr.inner) + 1 if isinstance(expr, ComposeExpr) else 1
+
+
+class TestIndexWalkMatchesReference:
+    """The index-arithmetic tables against their closure forms in
+    tests/reference.py, values and ConstructionStuck messages alike."""
+
+    @staticmethod
+    def agree(tree, tau, delta):
+        fast = _outcome(lambda: _wnu_extension_values(tree, tau, delta))
+        assert fast == _outcome(lambda: reference.wnu_extension_values(tree, tau, delta))
+        return fast
+
+    def test_corpus_trees(self):
+        cases = corpus_extension_inputs()
+        assert len(cases) >= 10
+        for tree, tau, delta in cases:
+            kind, values = self.agree(tree, tau, delta)
+            assert kind == "ok" and values == list(extend_wnu(tree, tau).values)
+
+    def test_perturbed_tau_delta_and_levels(self):
+        rng = random.Random(2014)
+        seen = set()
+        for tree, tau, delta in corpus_extension_inputs()[::3]:
+            size = tau.size
+            on_paths = [v for v, role in enumerate(tree.roles) if role[0] == "P"]
+            for n in (3, 4) if size <= 9 else (3,):
+                taus = [OperationTable(size, n, tuple(
+                    rng.randrange(size) for _ in range(size ** n)))]
+                if n == 3:
+                    taus.append(tau)
+                    base = sorted(delta)
+                else:
+                    base = sorted(diagonal_component(tree.digraph, n))
+                dropped = frozenset(rng.sample(base, len(base) // 2))
+                on_path_tuples = frozenset(
+                    power_index(size, [rng.choice(on_paths) for _ in range(n)])
+                    for _ in range(40))
+                anywhere = frozenset(rng.sample(range(size ** n), 3))
+                levels = tuple(rng.randrange(tree.levels.height + 1) for _ in range(size))
+                relevelled = dataclasses.replace(
+                    tree, levels=LevelAssignment(levels, tree.levels.height))
+                for t in taus:
+                    for d in (frozenset(base), dropped, dropped | on_path_tuples,
+                              frozenset(base) | anywhere):
+                        for tr in (tree, relevelled):
+                            kind, out = self.agree(tr, t, d)
+                            seen.add(out.split(" tuple")[0] if kind == "stuck" else kind)
+        assert seen == {"ok", "diagonal-component", "one-level"}
+
+    def test_both_stuck_messages_at_first_offender(self):
+        rng = random.Random(7)
+        messages = set()
+        for tree, tau, delta in corpus_extension_inputs()[:8]:
+            size = tau.size
+            off_paths = [v for v, role in enumerate(tree.roles) if role[0] != "P"]
+            interior = [v for v, role in enumerate(tree.roles) if role[0] == "P"]
+            # a mixed bottom/top tuple in the component leaves the paths
+            stray = power_index(size, (off_paths[0], off_paths[-1], rng.choice(interior)))
+            kind, msg = self.agree(tree, tau, delta | {stray})
+            messages.add(msg.split(" tuple")[0])
+            # a bottom vertex put on an interior vertex's level
+            levels = list(tree.levels.levels)
+            levels[off_paths[0]] = levels[interior[0]]
+            relevelled = dataclasses.replace(
+                tree, levels=LevelAssignment(tuple(levels), tree.levels.height))
+            kind, msg = self.agree(relevelled, tau, delta)
+            messages.add(msg.split(" tuple")[0])
+        assert messages == {"diagonal-component", "one-level"}
+
+    def test_polymer_star_and_special(self):
+        rng = random.Random(5)
+        wnus = [extend_wnu(tree, tau) for tree, tau, _ in corpus_extension_inputs()]
+        wnus += [random_wnu(rng, rng.randint(2, 5), rng.randint(3, 4)) for _ in range(60)]
+        depths = set()
+        for w in wnus:
+            assert binary_polymer(w) == reference.binary_polymer(w)
+            fast = _outcome(lambda: make_special(w))
+            slow = _outcome(lambda: reference.special_polymer(w))
+            if fast[0] == "ok":
+                (expr, polymer), (m, ref_polymer) = fast[1], slow[1]
+                assert (composition_depth(expr), polymer) == (m, ref_polymer)
+                assert star_table(polymer) == reference.star_table(polymer)
+                depths.add(m)
+            else:
+                assert fast == slow
+        assert len(depths) > 1
+        for _ in range(40):
+            size = rng.randint(1, 6)
+            table = OperationTable(size, 2, tuple(
+                rng.randrange(size) for _ in range(size * size)))
+            assert star_table(table) == reference.star_table(table)

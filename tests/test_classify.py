@@ -14,6 +14,7 @@ from hcolor.classify import (
     spec_from_core,
     verify_lemma_suite,
 )
+from hcolor.algebra import table_from_function
 from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph
 from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
@@ -217,6 +218,20 @@ class TestLemmaSuite:
         param = inspect.signature(verify_lemma_suite).parameters["power_budget"]
         args = cli._build_parser().parse_args(["verify", "--tree", "t.stree"])
         assert param.default == args.budget_power == DEFAULT_POWER_BUDGET
+
+    def test_anchor_absorption_eligibility(self):
+        # star template, o = 0: the anchor 3 has the pair {1, 2} above it
+        tree = compile_tree(SpecialTreeSpec(3, 1, 1, tuple(
+            (i, 0, OrientedPath("1")) for i in range(3))))
+        first = table_from_function(4, 2, lambda a: a[0])
+        second = table_from_function(4, 2, lambda a: a[1])
+        constant = table_from_function(4, 2, lambda a: 0)
+        skipped = ("skipped: no eligible neighborhood",) * 2
+        assert classify._check_anchor_absorption(tree, 0, second, second) == ("pass", "pass")
+        # every element absorbs under the first projection
+        assert classify._check_anchor_absorption(tree, 0, first, second) == skipped
+        # {1, 2} is not closed under a constant star
+        assert classify._check_anchor_absorption(tree, 0, second, constant) == skipped
 
     def test_triad_suite_skips(self):
         # no top-and-bottom WNU exists on the triad, so the dependent

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -396,6 +397,8 @@ class TestRelabelling:
         "wnu3": lambda h: find_wnu(h, 3),
         "majority": find_majority,
         "siggers": find_siggers,
+        "tsi2": lambda h: find_tsi(h, 2),
+        "tsi3": lambda h: find_tsi(h, 3),
     }
 
     @pytest.mark.parametrize("kind", sorted(SEARCHES))
@@ -415,7 +418,7 @@ class TestRelabelling:
 CORRUPTED_SOLVERS = """
     import random
     import sys
-    from hcolor import classify, homsolver, minpath, polysearch, spectree
+    from hcolor import algebra, classify, homsolver, minpath, polysearch, spectree
     from hcolor.algebra import table_from_function, trivial_pointing
     from hcolor.digraph import Digraph, connected_components
     from hcolor.errors import ConstructionStuck, VerificationFailed
@@ -456,6 +459,13 @@ CORRUPTED_SOLVERS = """
     negation = table_from_function(2, 2, lambda a: 1 - a[0])
     expect_failure(lambda: trivial_pointing(negation, 0), ConstructionStuck)
 
+    # an all-zero extension of the majority on one edge preserves no edge
+    edge_tree = spectree.compile_tree(spectree.SpecialTreeSpec(
+        1, 1, 1, ((0, 0, minpath.OrientedPath("1")),)))
+    majority = table_from_function(2, 3, lambda a: int(sum(a) >= 2))
+    algebra._wnu_extension_values = lambda tree, tau, delta: [0] * tau.size ** tau.arity
+    expect_failure(lambda: algebra.extend_wnu(edge_tree, majority), ConstructionStuck)
+
     # a common path that maps onto no input must not be returned
     path_onto_hom = minpath.path_onto_hom
     minpath.path_onto_hom = lambda q, p: None
@@ -485,9 +495,19 @@ def test_verification_survives_optimized_mode():
     # each corruption is caught by the check meant for it
     expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
                 "retraction is not", "retraction is onto", "not idempotent at 0",
-                "does not map onto", "is not onto", "is not minimal of height",
-                "not an oriented tree")
+                "extension is not a polymorphism", "does not map onto", "is not onto",
+                "is not minimal of height", "not an oriented tree")
     lines = proc.stdout.splitlines()
     assert len(lines) == len(expected), proc.stdout
     assert all(line.startswith("caught:") and part in line
                for line, part in zip(lines, expected)), proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    # re-checks must hold under python -O, so none may be an assert
+    src = Path(__file__).resolve().parents[1] / "src" / "hcolor"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
