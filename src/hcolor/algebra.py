@@ -833,6 +833,12 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
     breaks ties toward the bottom endpoint.  The table is built by one
     index walk over the power (`_wnu_extension_values`) and re-checked.
     """
+    return _extend_wnu(tree, tau, power_budget, None)
+
+
+def _extend_wnu(tree: SpecialTree, tau: OperationTable, power_budget: int,
+                delta: frozenset[int] | None) -> OperationTable:
+    """`extend_wnu` reusing the caller's diagonal component (None: compute it)."""
     n = tau.arity
     h = tree.digraph
     size = h.vertex_count
@@ -848,7 +854,8 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
         raise PreconditionViolated("input is not a WNU on the top level")
     if size ** n > power_budget:
         raise BudgetExceeded("power membership set exceeds budget")
-    delta = diagonal_component(h, n, power_budget)
+    if delta is None:
+        delta = diagonal_component(h, n, power_budget)
     out = OperationTable(size, n, tuple(_wnu_extension_values(tree, tau, delta)))
     if not is_polymorphism(h, out):
         raise ConstructionStuck("extension is not a polymorphism")

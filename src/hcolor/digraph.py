@@ -3,9 +3,9 @@
 Vertices are dense 0-based integers.  Digraphs are immutable after
 construction; every function here is pure.
 
-Powers are walked by tuple index: `power_step` lists a tuple's neighbours
-in the k-th power by index arithmetic, and both `diagonal_component` and
-the polymorphism searches' lazy indicator explore the power through it.
+Powers are walked a row of tuples at a time: `PowerWalk` keeps one int
+mask of visited tuples per row, and both `diagonal_component` and the
+polymorphism searches' lazy indicator explore the power through it.
 `direct_power` builds a whole power and is the reference they are tested
 against.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import BudgetExceeded, InvalidFormat, NotBalanced
 
@@ -199,52 +199,97 @@ def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digr
     return Digraph.from_edges(size, edges)
 
 
-def power_step(nbrs: tuple[tuple[int, ...], ...], k: int) -> Callable[[int], list[int]]:
-    """Neighbours in the k-th power, by tuple index, given per-vertex
-    neighbour lists (out- or in-neighbours).
-
-    An index splits into its first k // 2 coordinates and the rest; the
-    neighbours are all sums of a neighbour of each half, read from per-half
-    lists (the products of the per-coordinate neighbour lists).
-    """
+def _half_lists(nbrs: tuple[tuple[int, ...], ...], m: int) -> list[list[int]]:
+    """Per m-coordinate tuple index, its neighbours' indices (list products)."""
     n = len(nbrs)
+    lists = [[0]]
+    for _ in range(m):
+        lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
+                 for p in range(len(lists)) for c in range(n)]
+    return lists
 
-    def halves(m: int, scale: int) -> list[list[int]]:
-        lists = [[0]]
-        for _ in range(m):
-            lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
-                     for p in range(len(lists)) for c in range(n)]
-        return [[q * scale for q in qs] for qs in lists]
 
-    split = n ** (k - k // 2)
-    highs, lows = halves(k // 2, split), halves(k - k // 2, 1)
+class PowerWalk:
+    """The k-th power of g, walked a row at a time.
 
-    def step(t: int) -> list[int]:
-        hi, lo = divmod(t, split)
-        low = lows[lo]
-        return [a + b for a in highs[hi] for b in low]
-    return step
+    A tuple index splits as `hi * split + lo`, `hi` (the row) indexing the
+    first k // 2 coordinates.  The out-neighbours of a tuple are the `lo`s in
+    `out_mask[lo]` of each row in `out_rows[hi]`, and likewise inward.  Each
+    row keeps an int mask of its visited `lo`s, so a step marks a whole
+    neighbouring row by one `mask & ~visited[row]`.
+    """
+
+    __slots__ = ("split", "visited", "out_rows", "in_rows", "out_lows", "out_mask", "in_mask")
+
+    def __init__(self, g: Digraph, k: int):
+        self.split = g.vertex_count ** (k - k // 2)
+        halves = {m: (_half_lists(g.out_neighbors, m), _half_lists(g.in_neighbors, m))
+                  for m in {k // 2, k - k // 2}}
+        self.out_rows, self.in_rows = halves[k // 2]
+        self.visited = [0] * len(self.out_rows)
+        self.out_lows, in_lows = halves[k - k // 2]
+        self.out_mask, self.in_mask = ([sum(map((1).__lshift__, ls)) for ls in half]
+                                       for half in (self.out_lows, in_lows))
+
+    def visit(self, starts: list[int], partners: dict[int, list[int]] | None = None,
+              budget: int | None = None) -> list[int]:
+        """Mark visited every unvisited tuple weakly connected to the
+        (distinct) starts by power edges and `partners` links, and return
+        them.  Raises BudgetExceeded once that grows past `budget` tuples (or
+        past the starts, if there are more of them).
+        """
+        split, visited = self.split, self.visited
+        out_rows, in_rows = self.out_rows, self.in_rows
+        out_mask, in_mask = self.out_mask, self.in_mask
+        count, limit = 0, max(budget or 0, len(starts))
+        tuples: list[int] = []
+        pending: dict[int, int] = {}  # row -> visited lo mask not yet expanded
+        steps = [(t // split, 1 << t % split) for t in starts]
+        while True:
+            for r, mask in steps:
+                new = mask & ~visited[r]
+                if new:
+                    visited[r] |= new
+                    pending[r] = pending.get(r, 0) | new
+                    if budget is not None:
+                        count += new.bit_count()
+                        if count > limit:
+                            raise BudgetExceeded(f"walk exceeded budget {budget}")
+            if not pending:
+                return tuples
+            row, fresh = pending.popitem()
+            base = row * split
+            outs = ins = 0
+            steps = []
+            while fresh:
+                bit = fresh & -fresh
+                fresh ^= bit
+                lo = bit.bit_length() - 1
+                tuples.append(base + lo)
+                outs |= out_mask[lo]
+                ins |= in_mask[lo]
+                if partners:
+                    for w in partners.get(base + lo, ()):
+                        steps.append((w // split, 1 << w % split))
+            if outs:
+                steps += [(r, outs) for r in out_rows[row]]
+            if ins:
+                steps += [(r, ins) for r in in_rows[row]]
 
 
 def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> frozenset[int]:
     """Indices of power tuples weakly connected to some diagonal tuple.
 
-    Explores the power implicitly, so only the component itself (capped by
-    the budget) is ever materialized.
-    """
+    Walks the power with a `PowerWalk`, so only the component itself
+    (capped by the budget) is ever materialized."""
     if n < 1:
         raise ValueError("power must be positive")
-    out, into = power_step(g.out_neighbors, n), power_step(g.in_neighbors, n)
-    seen = {power_index(g.vertex_count, (v,) * n) for v in range(g.vertex_count)}
-    queue = sorted(seen)
-    for t in queue:  # the loop also visits the tuples it appends
-        for w in out(t) + into(t):
-            if w not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(f"diagonal component exceeded budget {budget}")
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    walk = PowerWalk(g, n)
+    diagonal = [power_index(g.vertex_count, (v,) * n) for v in range(g.vertex_count)]
+    try:
+        return frozenset(walk.visit(diagonal, budget=budget))
+    except BudgetExceeded:
+        raise BudgetExceeded(f"diagonal component exceeded budget {budget}") from None
 
 
 # .dg text format: `digraph <n> <m>` then m lines `<u> <v>`; '#' comments.

@@ -14,12 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .digraph import Digraph
 from .errors import BudgetExceeded, InvalidPin, VerificationFailed
-
-DEFAULT_ENUM_BUDGET = 5_000_000
 
 
 def _bits(mask: int):
@@ -270,29 +267,6 @@ def solve_hom(x: Digraph, h: Digraph, pins: dict[int, int] | None = None,
     if found is not None and not is_homomorphism(x, h, found, pins):
         raise VerificationFailed("solver result is not a homomorphism respecting the pins")
     return found
-
-
-def enumerate_homs(x: Digraph, h: Digraph, limit: int | None = None,
-                   budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
-    """All homomorphisms in lexicographic order, by plain enumeration.
-
-    Deliberately simple: this is the oracle the solver is checked against.
-    """
-    if limit is None and h.vertex_count ** x.vertex_count > budget:
-        raise BudgetExceeded("enumeration space exceeds budget; pass a limit")
-    out: list[tuple[int, ...]] = []
-    edges = x.edges_sorted
-    for mapping in product(range(h.vertex_count), repeat=x.vertex_count):
-        ok = True
-        for u, v in edges:
-            if (mapping[u], mapping[v]) not in h.edges:
-                ok = False
-                break
-        if ok:
-            out.append(mapping)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
 
 
 def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None:

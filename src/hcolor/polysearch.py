@@ -9,9 +9,9 @@ on weakly connected components of the quotient are independent, so
 components are solved separately.
 
 Searches never build the whole quotient.  `find_polymorphism` grows one
-component at a time by a breadth-first search over the implicit power
-digraph: out- and in-neighbour tuples come from `digraph.power_step`,
-merge partners from a table of the merge rules.  The components
+component at a time by a `digraph.PowerWalk` over the implicit power
+digraph, which follows power edges a row of tuples at a time and merge
+partners (a table of the merge rules) a tuple at a time.  The components
 holding pinned tuples are built first, all of them, so that inconsistent
 pins surface before any solving; they are then solved smallest first (by
 class count, then smallest tuple), and the first refuted one ends the
@@ -24,11 +24,13 @@ is the one the full construction gives.
 
 Many components of one search are the same sub-instance (same domains,
 same constraints, and within a search the same relation), so each search
-keeps a memo from sub-instance to assignment and solves each distinct one
-once.  This is exact: `solve_instance` is deterministic and starts a fresh
-node count on every call, so an identical instance gets the identical
-answer under any node budget.  The memo lives for one search only, and
-the assembled table is still re-checked as a whole.
+keeps a memo from sub-instance to assignment and builds and solves each
+distinct one once.  The key, the domains and each class's sorted successor
+classes, is the sorted constraint list in another form.  This is exact:
+`solve_instance` is deterministic and starts a fresh node count on every
+call, so an identical instance gets the identical answer under any node
+budget.  The memo lives for one search only, and the assembled table is
+still re-checked as a whole.
 
 `indicator` and `solve_indicator` build and solve the full quotient; they
 are the simple reference the lazy path is tested against.
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 
 from .algebra import (
     OperationTable,
@@ -48,11 +49,12 @@ from .algebra import (
     is_tsi,
     is_wnu,
 )
-from .digraph import Digraph, connected_components, power_step
+from .digraph import Digraph, PowerWalk, connected_components
 from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, edge_relation, solve_instance
 
 DEFAULT_INDICATOR_BUDGET = 4_000_000
+_UNSOLVED = object()
 
 Pattern = tuple[str, ...]
 
@@ -157,10 +159,8 @@ class Indicator:
     base: int
 
 
-def _substitutions(variables: tuple[str, ...], ranges: dict[str, tuple[int, ...]],
-                   size: int):
-    domains = [ranges.get(v, tuple(range(size))) for v in variables]
-    return product(*domains)
+def _domains(variables: tuple[str, ...], ranges, size: int) -> list[tuple[int, ...]]:
+    return [dict(ranges).get(v, tuple(range(size))) for v in variables]
 
 
 def _weights(pattern: Pattern, variables: tuple[str, ...], n: int) -> list[int]:
@@ -172,23 +172,31 @@ def _weights(pattern: Pattern, variables: tuple[str, ...], n: int) -> list[int]:
     return weights
 
 
+def _dots(weights: list[int], domains: list[tuple[int, ...]]) -> list[int]:
+    """The weights' dot product with every substitution from the domains,
+    in `itertools.product` order."""
+    dots = [0]
+    for w, dom in zip(weights, domains):
+        dots = [d + w * v for d in dots for v in dom]
+    return dots
+
+
 def _merge_pairs(sys: IdentitySystem, n: int):
     """Tuple-index pairs the system equates, in rule order."""
     for pat_a, pat_b, ranges in sys.merges:
         variables = tuple(sorted(set(pat_a) | set(pat_b)))
-        wa, wb = _weights(pat_a, variables, n), _weights(pat_b, variables, n)
-        for values in _substitutions(variables, dict(ranges), n):
-            yield sum(map(mul, wa, values)), sum(map(mul, wb, values))
+        domains = _domains(variables, ranges, n)
+        yield from zip(_dots(_weights(pat_a, variables, n), domains),
+                       _dots(_weights(pat_b, variables, n), domains))
 
 
 def _pin_targets(sys: IdentitySystem, n: int):
     """(tuple index, forced value) per pin substitution, in rule order."""
     for pattern, var, ranges in sys.pins:
         variables = tuple(sorted(set(pattern)))
-        weights = _weights(pattern, variables, n)
-        at = variables.index(var)
-        for values in _substitutions(variables, dict(ranges), n):
-            yield sum(map(mul, weights, values)), values[at]
+        domains = _domains(variables, ranges, n)
+        yield from zip(_dots(_weights(pattern, variables, n), domains),
+                       _dots([int(v == var) for v in variables], domains))
 
 
 def _tuple_count(n: int, k: int, budget: int) -> int:
@@ -287,7 +295,7 @@ class _Component:
     __slots__ = ("class_of", "heads", "domains")
 
     def __init__(self, class_of: dict[int, int], heads: list[int], domains: list[int]):
-        self.class_of = class_of  # tuple -> class
+        self.class_of = class_of  # tuple -> class, each class's tuples together, in class order
         self.heads = heads        # smallest tuple of each class, ascending
         self.domains = domains    # per class
 
@@ -308,33 +316,23 @@ class _LazyIndicator:
             if i != j:
                 self.partners.setdefault(i, []).append(j)
                 self.partners.setdefault(j, []).append(i)
-        self.out = power_step(h.out_neighbors, sys.arity)
-        self.into = power_step(h.in_neighbors, sys.arity)
+        self.walk = PowerWalk(h, sys.arity)
+        self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
         self.rel = edge_relation(h)
-        self.seen = bytearray(self.total)
         self.solutions: dict[tuple, tuple[int, ...] | None] = {}  # sub-instance -> answer
 
     def close(self, start: int) -> _Component:
         """The unvisited component of `start`, over power edges both ways and
         merges, with unrestricted domains."""
-        out, into, partners, seen = self.out, self.into, self.partners, self.seen
-        tuples = [start]
-        seen[start] = 1
-        for t in tuples:  # the loop also visits the tuples it appends
-            for w in out(t) + into(t) + partners.get(t, []):
-                if not seen[w]:
-                    seen[w] = 1
-                    tuples.append(w)
-        tuples.sort()
+        partners, walk = self.partners, self.walk
         class_of: dict[int, int] = {}
         heads: list[int] = []
-        for t in tuples:
+        for t in sorted(walk.visit([start], partners)):
             if t in class_of:
                 continue
-            c = len(heads)
+            c = class_of[t] = len(heads)
             heads.append(t)
-            class_of[t] = c
-            stack = [t]
+            stack = [t] if t in partners else []
             while stack:
                 for w in partners.get(stack.pop(), ()):
                     if w not in class_of:
@@ -349,7 +347,7 @@ class _LazyIndicator:
         comps: list[_Component] = []
         where = dict.fromkeys((t for t, _ in pins), -1)  # tuple -> component
         for start, _ in pins:
-            if not self.seen[start]:
+            if where[start] < 0:  # not in an earlier pinned component
                 comp = self.close(start)
                 for t in comp.class_of:
                     if t in where:
@@ -368,28 +366,35 @@ class _LazyIndicator:
 
     def remaining_components(self) -> list[_Component]:
         comps = []
-        start = self.seen.find(0)
-        while start >= 0:
-            comps.append(self.close(start))
-            start = self.seen.find(0, start + 1)
+        visited, split = self.walk.visited, self.walk.split
+        full = (1 << split) - 1
+        for row in range(len(visited)):
+            while (m := visited[row]) != full:  # start at the lowest unvisited lo
+                comps.append(self.close(row * split + (~m & (m + 1)).bit_length() - 1))
         return comps
-
-    def instance(self, comp: _Component) -> CspInstance:
-        class_of, out = comp.class_of, self.out
-        pairs = set()
-        for t, ct in class_of.items():
-            for w in out(t):
-                pairs.add((ct, class_of[w]))
-        return CspInstance(self.n, tuple(comp.domains), self.rel, tuple(sorted(pairs)))
 
     def solve(self, comp: _Component, node_budget: int | None) -> tuple[int, ...] | None:
         """The component's assignment, or None; each distinct sub-instance
-        is solved once."""
-        inst = self.instance(comp)
-        key = (inst.domains, inst.constraints)
-        if key not in self.solutions:
-            self.solutions[key] = solve_instance(inst, node_budget)
-        return self.solutions[key]
+        is built and solved once."""
+        class_of, split = comp.class_of, self.walk.split
+        bases, lows = self.out_bases, self.walk.out_lows
+        succ: list[tuple[int, ...]] = []
+        targets: list[int] = []
+        for t, c in class_of.items():  # each class's tuples come together, in class order
+            if c > len(succ):
+                succ.append(tuple(sorted(set(targets))))
+                targets = []
+            hi, lo = divmod(t, split)
+            low = lows[lo]
+            targets += [class_of[a + b] for a in bases[hi] for b in low]
+        succ.append(tuple(sorted(set(targets))))
+        key = (tuple(comp.domains), tuple(succ))
+        found = self.solutions.get(key, _UNSOLVED)
+        if found is _UNSOLVED:
+            pairs = tuple([(c, d) for c, ds in enumerate(key[1]) for d in ds])
+            found = self.solutions[key] = solve_instance(
+                CspInstance(self.n, key[0], self.rel, pairs), node_budget)
+        return found
 
 
 def _solve_in_order(lazy: _LazyIndicator, comps: list[_Component],

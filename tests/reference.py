@@ -1,15 +1,42 @@
-"""Simple closure forms of operation-table constructions.
+"""Simple reference forms the differential tests compare the library against.
 
-Each function evaluates its table one argument tuple at a time through a
-Python closure, the way the library did before it built these tables by
-index arithmetic.  The differential tests compare the library against them.
+`enumerate_homs` lists homomorphisms by plain enumeration, the oracle for
+the solver.  The other functions evaluate operation tables one argument
+tuple at a time through a Python closure, the way the library did before it
+built these tables by index arithmetic.
 """
 
+from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
-from hcolor.digraph import power_index
-from hcolor.errors import ConstructionStuck
+from hcolor.digraph import Digraph, power_index
+from hcolor.errors import BudgetExceeded, ConstructionStuck
+
+DEFAULT_ENUM_BUDGET = 5_000_000
+
+
+def enumerate_homs(x: Digraph, h: Digraph, limit: int | None = None,
+                   budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
+    """All homomorphisms in lexicographic order, by plain enumeration.
+
+    Deliberately simple: this is the oracle the solver is checked against.
+    """
+    if limit is None and h.vertex_count ** x.vertex_count > budget:
+        raise BudgetExceeded("enumeration space exceeds budget; pass a limit")
+    out: list[tuple[int, ...]] = []
+    edges = x.edges_sorted
+    for mapping in product(range(h.vertex_count), repeat=x.vertex_count):
+        ok = True
+        for u, v in edges:
+            if (mapping[u], mapping[v]) not in h.edges:
+                ok = False
+                break
+        if ok:
+            out.append(mapping)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
 
 
 def wnu_extension_values(tree, tau: OperationTable, delta) -> list[int]:

@@ -99,6 +99,15 @@ class TestPoly:
         assert main(command + [flag, "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, arity", [("wnu", 3), ("majority", 3), ("siggers", 4),
+                                             ("tsi", 2)])
+    def test_empty_target(self, tmp_path, kind, arity, capsys):
+        # the empty operation is a polymorphism of every kind on no vertices
+        empty = tmp_path / "empty.dg"
+        empty.write_text("digraph 0 0\n")
+        assert main(["poly", "--target", str(empty), "--kind", kind]) == 0
+        assert capsys.readouterr().out == f"op 0 {arity}\n"
+
     @pytest.mark.parametrize("kind, arity",
                              [("wnu", "1"), ("wnu", "0"), ("tsi", "0"), ("siggers", "7")])
     def test_bad_arity(self, edge_file, kind, arity, capsys):

@@ -143,6 +143,28 @@ class TestDiagonalComponent:
             assert delta == frozenset().union(*(c for c in comps if c & diag)), (n, g.edges)
 
 
+    def test_empty_digraph(self):
+        for n in (1, 2, 3):
+            assert diagonal_component(Digraph(0, frozenset()), n) == frozenset()
+
+    def test_budget_boundary(self):
+        # the walk adds many tuples per mask operation, yet the budget still
+        # bounds the component's size exactly
+        import random
+
+        rng = random.Random(5)
+        graphs = [OrientedPath("1101").to_digraph()] + [
+            corpus_digraph(rng, max_n=5, loops=loops) for loops in (False, True) * 5]
+        for g, n in product(graphs, (2, 3)):
+            size = len(diagonal_component(g, n))
+            if size <= g.vertex_count:
+                continue  # no tuple beyond the diagonal to refuse
+            assert len(diagonal_component(g, n, budget=size)) == size
+            message = f"diagonal component exceeded budget {size - 1}"
+            with pytest.raises(BudgetExceeded, match=message):
+                diagonal_component(g, n, budget=size - 1)
+
+
 class TestOrientedTree:
     def test_cases(self):
         assert is_oriented_tree(EDGE)

@@ -10,11 +10,11 @@ from hcolor.homsolver import (
     arc_consistency,
     build_instance,
     consistency_23,
-    enumerate_homs,
     solve_hom,
 )
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import canned_triad, compile_tree
+from reference import enumerate_homs
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 

@@ -274,6 +274,17 @@ DENSE_SYSTEMS = {
 }
 
 
+def all_digraphs(n: int) -> list[Digraph]:
+    """Every digraph on n vertices, loops included."""
+    pairs = list(product(range(n), repeat=2))
+    return [Digraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            for bits in range(1 << len(pairs))]
+
+
+# the row walk's edge cases: an empty high half (arity 1) and the shift merge
+WALK_SYSTEMS = {**DENSE_SYSTEMS, "tsi1": lambda h: tsi_system(1), "tsi3": lambda h: tsi_system(3)}
+
+
 class TestLazyMatchesFullIndicator:
     """The lazy path against the full indicator it replaces."""
 
@@ -289,6 +300,14 @@ class TestLazyMatchesFullIndicator:
             sys_ = DENSE_SYSTEMS[kind](h)
             assert outcome(find_polymorphism, h, sys_) == outcome(reference_search, h, sys_), \
                 (kind, sorted(h.edges))
+
+    @pytest.mark.parametrize("kind", sorted(WALK_SYSTEMS))
+    def test_small_digraphs_with_loops(self, kind):
+        graphs = all_digraphs(2) + random.Random(9).sample(all_digraphs(3), 40)
+        for h in graphs:
+            sys_ = WALK_SYSTEMS[kind](h)
+            assert outcome(find_polymorphism, h, sys_) == outcome(reference_search, h, sys_), \
+                (kind, h.vertex_count, sorted(h.edges))
 
     def test_node_budgets(self, graphs):
         # budget exhaustion and refutation must win in the same component
@@ -387,6 +406,34 @@ class TestSolutionMemo:
         solves = len(keys)
         assert find_polymorphism(tree.digraph, top_bottom_system(tree)) == first
         assert solves > 0 and keys[solves:] == keys[:solves]
+
+
+class TestWorkCounts:
+    """Solver calls per search, equal to those of a memo keyed on the sorted
+    constraint list: a different count means the memo identifies different
+    sub-instances."""
+
+    def test_top_bottom_wnu_on_corpus_trees(self, monkeypatch):
+        trees = [compile_tree(spec) for spec in random_special_trees(25)]
+        keys = record_solves(monkeypatch)
+        for tree in trees:
+            find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+        assert len(keys) == 1060
+
+    def test_four_vertex_slice(self, monkeypatch):
+        graphs = loopless_digraphs_up_to_iso(4)[::10]
+        keys = record_solves(monkeypatch)
+        for h in graphs:
+            find_wnu(h, 2), find_wnu(h, 3), find_majority(h), find_siggers(h)
+        assert (len(graphs), len(keys)) == (22, 191)
+
+
+class TestEmptyTarget:
+    @pytest.mark.parametrize("search, arity", [
+        (lambda h: find_wnu(h, 2), 2), (find_majority, 3), (find_siggers, 4),
+        (lambda h: find_tsi(h, 1), 1)])
+    def test_size_zero_table(self, search, arity):
+        assert search(Digraph(0, frozenset())) == OperationTable(0, arity, ())
 
 
 class TestRelabelling:
