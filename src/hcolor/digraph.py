@@ -216,10 +216,12 @@ class PowerWalk:
     first k // 2 coordinates.  The out-neighbours of a tuple are the `lo`s in
     `out_mask[lo]` of each row in `out_rows[hi]`, and likewise inward.  Each
     row keeps an int mask of its visited `lo`s, so a step marks a whole
-    neighbouring row by one `mask & ~visited[row]`.
+    neighbouring row by one `mask & ~visited[row]`.  `no_out` and `no_in`
+    mask the `lo`s with no out- or in-neighbour in any row.
     """
 
-    __slots__ = ("split", "visited", "out_rows", "in_rows", "out_lows", "out_mask", "in_mask")
+    __slots__ = ("split", "visited", "out_rows", "in_rows", "out_lows", "out_mask", "in_mask",
+                 "no_out", "no_in")
 
     def __init__(self, g: Digraph, k: int):
         self.split = g.vertex_count ** (k - k // 2)
@@ -230,6 +232,8 @@ class PowerWalk:
         self.out_lows, in_lows = halves[k - k // 2]
         self.out_mask, self.in_mask = ([sum(map((1).__lshift__, ls)) for ls in half]
                                        for half in (self.out_lows, in_lows))
+        self.no_out, self.no_in = (sum(1 << lo for lo, m in enumerate(masks) if not m)
+                                   for masks in (self.out_mask, self.in_mask))
 
     def visit(self, starts: list[int], partners: dict[int, list[int]] | None = None,
               budget: int | None = None) -> list[int]:
@@ -275,6 +279,28 @@ class PowerWalk:
                 steps += [(r, outs) for r in out_rows[row]]
             if ins:
                 steps += [(r, ins) for r in in_rows[row]]
+
+    def isolated(self, partners: dict[int, list[int]]) -> list[int]:
+        """Mark visited and return, ascending, every unvisited tuple with no
+        power edge either way and no `partners` link: each is a component
+        of its own.  Works a row at a time on masks of such `lo`s."""
+        split, visited = self.split, self.visited
+        linked = [0] * len(visited)
+        for t in partners:
+            linked[t // split] |= 1 << t % split
+        full = (1 << split) - 1
+        lone: list[int] = []
+        for row, (outs, ins) in enumerate(zip(self.out_rows, self.in_rows)):
+            iso = ((self.no_out if outs else full) & (self.no_in if ins else full)
+                   & ~(linked[row] | visited[row]))
+            if iso:
+                visited[row] |= iso
+                base = row * split
+                while iso:
+                    bit = iso & -iso
+                    iso ^= bit
+                    lone.append(base + bit.bit_length() - 1)
+        return lone
 
 
 def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> frozenset[int]:

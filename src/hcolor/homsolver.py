@@ -6,11 +6,14 @@ binary relation (the target's edge relation) and its constraints are bare
 relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's neighbours through the relation's memoized images and
 preimages.  Everything is deterministic: fixed variable order (smallest
-domain, lowest index) and ascending value order.
+domain, lowest index) and ascending value order.  Domains only shrink down
+a branch, so each search frame keeps its open variables (two or more
+values) and a child picks among those alone.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,20 +91,41 @@ class CspInstance:
     relation: Relation
     constraints: tuple[tuple[int, int], ...]
 
+    @classmethod
+    def from_successors(cls, domain_size: int, domains: tuple[int, ...], relation: Relation,
+                        succ) -> "CspInstance":
+        """The instance with a pair (u, v) for each v in succ[u], in that
+        order, its adjacency read off `succ` rather than the pairs."""
+        inst = cls(domain_size, domains, relation,
+                   tuple([(u, v) for u, vs in enumerate(succ) for v in vs]))
+        inst.__dict__["adjacency"] = _adjacency(succ)  # primes the cached property
+        return inst
+
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """Successors and predecessors of each variable, self-loops left out."""
-        succs: list[list[int]] = [[] for _ in self.domains]
-        preds: list[list[int]] = [[] for _ in self.domains]
+        succ: list[list[int]] = [[] for _ in self.domains]
         for u, v in self.constraints:
-            if u != v:
-                succs[u].append(v)
-                preds[v].append(u)
-        return tuple(map(tuple, succs)), tuple(map(tuple, preds))
+            succ[u].append(v)
+        return _adjacency(succ)
 
     @property
     def variable_count(self) -> int:
         return len(self.domains)
+
+
+def _adjacency(succ):
+    """Successor and predecessor tuples of each variable, self-loops left
+    out, in one pass over each variable's successors."""
+    outs = []
+    preds: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        if u in vs:
+            vs = [v for v in vs if v != u]
+        outs.append(tuple(vs))
+        for v in vs:
+            preds[v].append(u)
+    return tuple(outs), tuple(map(tuple, preds))
 
 
 def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -> CspInstance:
@@ -114,7 +138,8 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
         if not (0 <= val < h.vertex_count):
             raise InvalidPin(f"pin value {val} out of range")
         domains[var] &= 1 << val
-    return CspInstance(h.vertex_count, tuple(domains), edge_relation(h), x.edges_sorted)
+    return CspInstance.from_successors(h.vertex_count, tuple(domains), edge_relation(h),
+                                       x.out_neighbors)
 
 
 def _ac_fixpoint(domains: list[int], inst: CspInstance,
@@ -194,35 +219,39 @@ class _NodeCounter:
             self.left -= 1
 
 
-def _branch_var(domains: list[int]) -> int:
-    best = -1
-    best_size = 0
-    for i, d in enumerate(domains):
-        if d & (d - 1):  # two or more values
-            size = d.bit_count()
-            if best < 0 or size < best_size:
+def _branch_var(domains: list[int], candidates) -> tuple[int, list[int]]:
+    """The candidate with the fewest values (lowest index first) among those
+    with two or more, -1 when none has; and those open candidates, in order."""
+    best, best_size = -1, sys.maxsize  # more values than any domain has
+    open_vars = []
+    for i in candidates:
+        size = domains[i].bit_count()
+        if size > 1:
+            open_vars.append(i)
+            if size < best_size:
                 best, best_size = i, size
-    return best
+    return best, open_vars
 
 
 def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list[int] | None:
-    """Iterative backtracking; frames hold resumable value generators."""
-    var = _branch_var(domains)
+    """Iterative backtracking; frames hold resumable value generators and
+    their open variables, the only candidates below them."""
+    var, open_vars = _branch_var(domains, range(len(domains)))
     if var < 0:
         return domains
-    stack: list[tuple[list[int], int, object]] = [(domains, var, _bits(domains[var]))]
+    stack = [(domains, var, _bits(domains[var]), open_vars)]
     while stack:
-        parent, var, values = stack[-1]
+        parent, var, values, open_vars = stack[-1]
         advanced = False
         for val in values:
             counter.tick()
             trial = list(parent)
             trial[var] = 1 << val
             if _ac_fixpoint(trial, inst, dirty=[var]):
-                nxt = _branch_var(trial)
+                nxt, still_open = _branch_var(trial, open_vars)
                 if nxt < 0:
                     return trial
-                stack.append((trial, nxt, _bits(trial[nxt])))
+                stack.append((trial, nxt, _bits(trial[nxt]), still_open))
                 advanced = True
                 break
         if not advanced:

@@ -22,6 +22,14 @@ components built and solved, in the same order.  Classes are numbered by
 their smallest tuple, so every sub-instance, and hence every table found,
 is the one the full construction gives.
 
+Most remaining components of a top-and-bottom WNU search on a special tree
+are lone tuples: no power edge either way, no merge partner.  They all
+have one sub-instance (one variable, full domain, no constraint), so
+`PowerWalk.isolated` finds them by row masks and they are solved as one
+group, ordered at its smallest tuple and keyed as one lone tuple; its
+value goes to all of them.  The solver sees the same calls in the same
+order as with one component each.
+
 Many components of one search are the same sub-instance (same domains,
 same constraints, and within a search the same relation), so each search
 keeps a memo from sub-instance to assignment and builds and solves each
@@ -290,14 +298,17 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
 
 class _Component:
     """One weakly connected component of the quotient, with its classes
-    numbered by smallest tuple."""
+    numbered by smallest tuple; or the group of lone tuples, its first
+    tuple standing for all of them."""
 
-    __slots__ = ("class_of", "heads", "domains")
+    __slots__ = ("class_of", "heads", "domains", "lone")
 
-    def __init__(self, class_of: dict[int, int], heads: list[int], domains: list[int]):
+    def __init__(self, class_of: dict[int, int], heads: list[int], domains: list[int],
+                 lone: list[int] | tuple = ()):
         self.class_of = class_of  # tuple -> class, each class's tuples together, in class order
         self.heads = heads        # smallest tuple of each class, ascending
         self.domains = domains    # per class
+        self.lone = lone          # the group's tuples, else empty
 
     def order(self) -> tuple[int, int]:
         return (len(self.heads), self.heads[0])
@@ -365,7 +376,9 @@ class _LazyIndicator:
         return comps
 
     def remaining_components(self) -> list[_Component]:
-        comps = []
+        """Every unvisited component, the lone tuples as one group."""
+        lone = self.walk.isolated(self.partners)
+        comps = [_Component({lone[0]: 0}, lone[:1], [(1 << self.n) - 1], lone)] if lone else []
         visited, split = self.walk.visited, self.walk.split
         full = (1 << split) - 1
         for row in range(len(visited)):
@@ -391,9 +404,8 @@ class _LazyIndicator:
         key = (tuple(comp.domains), tuple(succ))
         found = self.solutions.get(key, _UNSOLVED)
         if found is _UNSOLVED:
-            pairs = tuple([(c, d) for c, ds in enumerate(key[1]) for d in ds])
             found = self.solutions[key] = solve_instance(
-                CspInstance(self.n, key[0], self.rel, pairs), node_budget)
+                CspInstance.from_successors(self.n, key[0], self.rel, key[1]), node_budget)
         return found
 
 
@@ -421,6 +433,8 @@ def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
     for comp, found in solved:
         for t, c in comp.class_of.items():
             values[t] = found[c]
+        for t in comp.lone:
+            values[t] = found[0]
     return tuple(values)
 
 

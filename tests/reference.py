@@ -1,9 +1,10 @@
 """Simple reference forms the differential tests compare the library against.
 
 `enumerate_homs` lists homomorphisms by plain enumeration, the oracle for
-the solver.  The other functions evaluate operation tables one argument
-tuple at a time through a Python closure, the way the library did before it
-built these tables by index arithmetic.
+the solver, and `branch_var` picks the solver's branching variable by
+scanning every domain.  The other functions evaluate operation tables one
+argument tuple at a time through a Python closure, the way the library did
+before it built these tables by index arithmetic.
 """
 
 from itertools import product
@@ -37,6 +38,18 @@ def enumerate_homs(x: Digraph, h: Digraph, limit: int | None = None,
             if limit is not None and len(out) >= limit:
                 break
     return out
+
+
+def branch_var(domains: list[int]) -> int:
+    """The variable with the fewest values among those with two or more,
+    lowest index first; -1 when every domain is a singleton."""
+    best = -1
+    best_size = 0
+    for i, d in enumerate(domains):
+        size = d.bit_count()
+        if size >= 2 and (best < 0 or size < best_size):
+            best, best_size = i, size
+    return best
 
 
 def wnu_extension_values(tree, tau: OperationTable, delta) -> list[int]:

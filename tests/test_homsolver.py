@@ -3,18 +3,23 @@ from dataclasses import replace
 
 import pytest
 
+from corpus import random_special_trees
+from hcolor import homsolver
 from hcolor.digraph import Digraph
 from hcolor.errors import BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
+    CspInstance,
     _ac_fixpoint,
+    _branch_var,
     arc_consistency,
     build_instance,
     consistency_23,
     solve_hom,
 )
 from hcolor.minpath import OrientedPath
+from hcolor.polysearch import find_wnu_on_top_bottom
 from hcolor.spectree import canned_triad, compile_tree
-from reference import enumerate_homs
+from reference import branch_var, enumerate_homs
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 
@@ -47,6 +52,32 @@ class TestBuildInstance:
             build_instance(EDGE, EDGE, pins={0: 7})
         with pytest.raises(InvalidPin):
             build_instance(EDGE, EDGE, pins={9: 0})
+
+    def test_adjacency_read_off_successors(self):
+        # the successor-built adjacency equals the one rebuilt from the
+        # constraint pairs; self-loops stay in the pairs only
+        rng = random.Random(12)
+        for _ in range(100):
+            x = random_looped_digraph(rng, 7, 0.4)
+            inst = build_instance(x, EDGE)
+            plain = CspInstance(inst.domain_size, inst.domains, inst.relation, inst.constraints)
+            assert inst.constraints == x.edges_sorted
+            assert inst.adjacency == plain.adjacency == reference_adjacency(inst)
+            succ = [tuple(sorted(rng.sample(range(7), rng.randint(0, 4)))) for _ in range(7)]
+            inst = CspInstance.from_successors(2, (3,) * 7, inst.relation, succ)
+            assert inst.constraints == tuple((u, v) for u, vs in enumerate(succ) for v in vs)
+            assert inst.adjacency == reference_adjacency(inst)
+
+
+def reference_adjacency(inst):
+    """Successors and predecessors per variable, pair by pair, self-loops out."""
+    succs = [[] for _ in inst.domains]
+    preds = [[] for _ in inst.domains]
+    for u, v in inst.constraints:
+        if u != v:
+            succs[u].append(v)
+            preds[v].append(u)
+    return tuple(map(tuple, succs)), tuple(map(tuple, preds))
 
 
 class TestArcConsistency:
@@ -137,6 +168,45 @@ class TestFixpointAgainstReference:
                     assert domains == scratch
                 hits["incremental"] += 1
         assert all(hits.values()), hits
+
+
+def open_vars(domains, candidates):
+    return [i for i in candidates if domains[i].bit_count() >= 2]
+
+
+class TestBranchVar:
+    """The open-list scan against the full scan of every domain."""
+
+    def test_random_domain_lists(self):
+        # a child's domains shrink from its parent's, so the parent's open
+        # variables are the only candidates it needs
+        rng = random.Random(8)
+        for _ in range(2000):
+            size = rng.randint(1, 6)
+            parent = [rng.randrange(1, 1 << size) for _ in range(rng.randint(0, 12))]
+            var, open_parent = _branch_var(parent, range(len(parent)))
+            assert (var, open_parent) == (branch_var(parent), open_vars(parent, range(len(parent))))
+            child = [d & rng.choice((d, d & -d, rng.randrange(1 << size) | d & -d))
+                     for d in parent]
+            assert _branch_var(child, open_parent) == (branch_var(child),
+                                                       open_vars(child, open_parent))
+
+    def test_states_recorded_from_corpus_searches(self, monkeypatch):
+        calls = []
+        scan = homsolver._branch_var
+
+        def recording(domains, candidates):
+            got = scan(domains, candidates)
+            calls.append((list(domains), list(candidates), got))
+            return got
+
+        monkeypatch.setattr(homsolver, "_branch_var", recording)
+        for spec in random_special_trees(25)[::3]:
+            tree = compile_tree(spec)
+            find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+        assert len(calls) > 1000
+        for domains, candidates, got in calls:
+            assert got == (branch_var(domains), open_vars(domains, candidates))
 
 
 class TestSolveHom:

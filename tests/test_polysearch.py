@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from corpus import loopless_digraphs_up_to_iso, random_special_trees, relabel
-from hcolor import polysearch
+from hcolor import homsolver, polysearch
 from hcolor.algebra import (
     OperationTable,
     format_op,
@@ -285,6 +285,29 @@ def all_digraphs(n: int) -> list[Digraph]:
 WALK_SYSTEMS = {**DENSE_SYSTEMS, "tsi1": lambda h: tsi_system(1), "tsi3": lambda h: tsi_system(3)}
 
 
+def lone_group(h, sys_) -> set[int]:
+    """The tuples the lazy indicator handles in bulk, as one group."""
+    lazy = polysearch._LazyIndicator(h, sys_, polysearch.DEFAULT_INDICATOR_BUDGET)
+    lazy.pinned_components()
+    groups = [comp.lone for comp in lazy.remaining_components() if comp.lone]
+    assert len(groups) <= 1
+    return set(groups[0]) if groups else set()
+
+
+def reference_lone_tuples(h, sys_) -> set[int]:
+    """The tuples of the full indicator whose class is a component of one
+    tuple with no constraint and no pin."""
+    ind = indicator(h, sys_)
+    inst = ind.instance
+    size = [0] * inst.variable_count
+    for c in ind.class_of:
+        size[c] += 1
+    constrained = {c for pair in inst.constraints for c in pair}
+    full = (1 << h.vertex_count) - 1
+    return {t for t, c in enumerate(ind.class_of)
+            if size[c] == 1 and c not in constrained and inst.domains[c] == full}
+
+
 class TestLazyMatchesFullIndicator:
     """The lazy path against the full indicator it replaces."""
 
@@ -311,7 +334,8 @@ class TestLazyMatchesFullIndicator:
 
     def test_node_budgets(self, graphs):
         # budget exhaustion and refutation must win in the same component
-        # order; a zero budget is where that order shows
+        # order; a zero budget is where that order shows (on 26 of the
+        # 4-vertex searches it runs out in the group of lone tuples)
         for i, h in enumerate(graphs):
             for kind, make in DENSE_SYSTEMS.items():
                 for nodes in (0, 1, 3) if i % 7 == 0 else (0,):
@@ -319,14 +343,45 @@ class TestLazyMatchesFullIndicator:
                     got = outcome(find_polymorphism, h, sys_, node_budget=nodes)
                     want = outcome(reference_search, h, sys_, node_budget=nodes)
                     assert got == want, (kind, nodes, sorted(h.edges))
+        for spec in random_special_trees(25):
+            tree = compile_tree(spec)
+            sys_ = top_bottom_system(tree)
+            for nodes in (0, 1):
+                got = outcome(find_polymorphism, tree.digraph, sys_, node_budget=nodes)
+                want = outcome(reference_search, tree.digraph, sys_, node_budget=nodes)
+                assert got == want, (spec, nodes)
+
+    def test_lone_group_ordered_at_its_smallest_tuple(self):
+        # the 2-cycle's class {(1, 2), (2, 1)} is a one-class component
+        # that refutes, between the smallest lone tuple (0, 1) and the
+        # largest (3, 2); the group's zero-budget exhaustion must win
+        h = Digraph.from_edges(4, [(1, 2), (2, 1)])
+        sys_ = wnu_on_sets_system(2, [(1, 2)])
+        assert lone_group(h, sys_) == {1, 2, 3, 4, 7, 8, 11, 12, 13, 14}
+        got = outcome(find_polymorphism, h, sys_, node_budget=0)
+        assert got == outcome(reference_search, h, sys_, node_budget=0)
+        assert got == ("BudgetExceeded", "search node budget exhausted")
+        assert outcome(find_polymorphism, h, sys_) is None
 
     def test_top_bottom_wnu_on_corpus_trees(self):
         for spec in random_special_trees(25):
             tree = compile_tree(spec)
-            sys_ = wnu_on_sets_system(3, [tuple(sorted(tree.a_vertices)),
-                                          tuple(sorted(tree.b_vertices))])
+            sys_ = top_bottom_system(tree)
             got = outcome(find_polymorphism, tree.digraph, sys_)
             assert got == outcome(reference_search, tree.digraph, sys_)
+
+    @pytest.mark.parametrize("kind", sorted(DENSE_SYSTEMS))
+    def test_lone_tuples_on_loopless_four_vertex_digraphs(self, graphs, kind):
+        for h in graphs:
+            sys_ = DENSE_SYSTEMS[kind](h)
+            assert lone_group(h, sys_) == reference_lone_tuples(h, sys_), (kind, sorted(h.edges))
+
+    @pytest.mark.parametrize("kind", sorted(WALK_SYSTEMS))
+    def test_lone_tuples_on_looped_digraphs(self, kind):
+        for h in all_digraphs(2) + all_digraphs(3):
+            sys_ = WALK_SYSTEMS[kind](h)
+            assert lone_group(h, sys_) == reference_lone_tuples(h, sys_), \
+                (kind, h.vertex_count, sorted(h.edges))
 
     @pytest.mark.parametrize("sys_", [
         IdentitySystem(2, (), ((("x", "y"), "x", ()), (("x", "y"), "y", ()))),
@@ -408,24 +463,50 @@ class TestSolutionMemo:
         assert solves > 0 and keys[solves:] == keys[:solves]
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name so each call appends None to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestWorkCounts:
-    """Solver calls per search, equal to those of a memo keyed on the sorted
-    constraint list: a different count means the memo identifies different
-    sub-instances."""
+    """Components built, solver calls and search nodes per search.
+
+    Solver calls equal those of a memo keyed on the sorted constraint list:
+    a different count means the memo identifies different sub-instances.
+    Components built (`close` calls) leave out the lone tuples, which are
+    handled as one group.  Search nodes are those of the full-scan
+    branching choice.
+    """
+
+    def counts(self, monkeypatch, searches) -> tuple[int, int, int]:
+        closes = count_calls(monkeypatch, polysearch._LazyIndicator, "close")
+        nodes = count_calls(monkeypatch, homsolver._NodeCounter, "tick")
+        keys = record_solves(monkeypatch)
+        for search in searches:
+            search()
+        return len(closes), len(keys), len(nodes)
 
     def test_top_bottom_wnu_on_corpus_trees(self, monkeypatch):
         trees = [compile_tree(spec) for spec in random_special_trees(25)]
-        keys = record_solves(monkeypatch)
-        for tree in trees:
-            find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
-        assert len(keys) == 1060
+        searches = [lambda t=tree: find_wnu_on_top_bottom(t.digraph, 3, t.a_vertices,
+                                                          t.b_vertices) for tree in trees]
+        assert self.counts(monkeypatch, searches) == (4561, 1060, 7403)
 
     def test_four_vertex_slice(self, monkeypatch):
         graphs = loopless_digraphs_up_to_iso(4)[::10]
-        keys = record_solves(monkeypatch)
-        for h in graphs:
-            find_wnu(h, 2), find_wnu(h, 3), find_majority(h), find_siggers(h)
-        assert (len(graphs), len(keys)) == (22, 191)
+        searches = [search for h in graphs for search in (
+            lambda h=h: find_wnu(h, 2), lambda h=h: find_wnu(h, 3),
+            lambda h=h: find_majority(h), lambda h=h: find_siggers(h))]
+        assert len(graphs) == 22
+        assert self.counts(monkeypatch, searches) == (516, 191, 1090)
 
 
 class TestEmptyTarget:
