@@ -29,6 +29,7 @@ from .errors import (
     NotWNU,
     PreconditionViolated,
 )
+from .homsolver import edge_relation
 from .spectree import SpecialTree, dist_e, e_neighborhood, preceq
 
 DEFAULT_POLY_BUDGET = 5_000_000
@@ -191,9 +192,7 @@ def is_polymorphism(h: Digraph, op: Operation,
 
 def _table_preserves_edges(h: Digraph, table: OperationTable) -> bool:
     n, values, edges = table.size, table.values, h.edges_sorted
-    succ = [0] * n
-    for u, v in edges:
-        succ[u] |= 1 << v
+    succ = edge_relation(h).fwd
     for prefix in product(edges, repeat=table.arity - 1):
         tail = head = 0
         for u, v in prefix:

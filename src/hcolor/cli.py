@@ -209,8 +209,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if args.path:
-        g = OrientedPath(args.path).to_digraph()
+    if args.path is not None:  # "" is the one-vertex path
+        try:
+            g = OrientedPath(args.path).to_digraph()
+        except ValueError as exc:
+            raise HcolorError(f"bad path {args.path!r}: {exc}") from None
     else:
         g = compile_tree(read_stree(args.tree)).digraph
     write_dg(args.out, g)

@@ -1,9 +1,9 @@
 """Homomorphism decisions between digraphs.
 
 Variables carry bitmask domains over target vertices.  An instance has one
-binary relation (the target's edge relation) and its constraints are bare
-(u, v) variable pairs, each asking for (value of u, value of v) in that
-relation.  Arc consistency queues variables, not pairs, and filters a
+binary relation (the target's edge relation) and gives its constraints as
+successor lists: each v in succ[u] asks for (value of u, value of v) in
+that relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's neighbours through the relation's memoized images and
 preimages.  Everything is deterministic: fixed variable order (smallest
 domain, lowest index) and ascending value order.  Domains only shrink down
@@ -37,15 +37,6 @@ class Relation:
     fwd: tuple[int, ...]  # fwd[a] = mask of b with (a, b) in the relation
     rev: tuple[int, ...]  # rev[b] = mask of a with (a, b) in the relation
 
-    @classmethod
-    def from_pairs(cls, size: int, pairs) -> "Relation":
-        fwd = [0] * size
-        rev = [0] * size
-        for a, b in pairs:
-            fwd[a] |= 1 << b
-            rev[b] |= 1 << a
-        return cls(size, tuple(fwd), tuple(rev))
-
     @cached_property
     def preimages(self) -> dict[int, int]:
         """Memo: mask -> values with a successor in mask (see `_ac_fixpoint`)."""
@@ -78,58 +69,50 @@ class Relation:
 
 
 def edge_relation(h: Digraph) -> Relation:
-    return Relation.from_pairs(h.vertex_count, h.edges_sorted)
+    fwd = tuple(sum(1 << v for v in vs) for vs in h.out_neighbors)
+    rev = tuple(sum(1 << u for u in us) for us in h.in_neighbors)
+    return Relation(h.vertex_count, fwd, rev)
 
 
 @dataclass(frozen=True)
 class CspInstance:
-    """Variables with vertex-subset domains; every constraint pair (u, v)
-    requires (value of u, value of v) in the one relation."""
+    """Variables with vertex-subset domains over the relation's values;
+    each v in succ[u] (u itself included for a self-loop) requires
+    (value of u, value of v) in the one relation."""
 
-    domain_size: int
     domains: tuple[int, ...]
     relation: Relation
-    constraints: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_successors(cls, domain_size: int, domains: tuple[int, ...], relation: Relation,
-                        succ) -> "CspInstance":
-        """The instance with a pair (u, v) for each v in succ[u], in that
-        order, its adjacency read off `succ` rather than the pairs."""
-        inst = cls(domain_size, domains, relation,
-                   tuple([(u, v) for u, vs in enumerate(succ) for v in vs]))
-        inst.__dict__["adjacency"] = _adjacency(succ)  # primes the cached property
-        return inst
+    succ: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Successors and predecessors of each variable, self-loops left out."""
-        succ: list[list[int]] = [[] for _ in self.domains]
-        for u, v in self.constraints:
-            succ[u].append(v)
-        return _adjacency(succ)
+    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...],
+                                 tuple[int, ...]]:
+        """Successors and predecessors of each variable, self-loops left
+        out, and the variables with a self-loop."""
+        outs = []
+        preds: list[list[int]] = [[] for _ in self.succ]
+        loops = []
+        for u, vs in enumerate(self.succ):
+            if u in vs:
+                loops.append(u)
+                vs = tuple(v for v in vs if v != u)
+            outs.append(vs)
+            for v in vs:
+                preds[v].append(u)
+        return tuple(outs), tuple(map(tuple, preds)), tuple(loops)
+
+    @property
+    def constraints(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) pairs, by u and then in successor order."""
+        return tuple((u, v) for u, vs in enumerate(self.succ) for v in vs)
 
     @property
     def variable_count(self) -> int:
         return len(self.domains)
 
 
-def _adjacency(succ):
-    """Successor and predecessor tuples of each variable, self-loops left
-    out, in one pass over each variable's successors."""
-    outs = []
-    preds: list[list[int]] = [[] for _ in succ]
-    for u, vs in enumerate(succ):
-        if u in vs:
-            vs = [v for v in vs if v != u]
-        outs.append(tuple(vs))
-        for v in vs:
-            preds[v].append(u)
-    return tuple(outs), tuple(map(tuple, preds))
-
-
 def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -> CspInstance:
-    """One variable per x-vertex, full target domains, one pair per x-edge."""
+    """One variable per x-vertex, full target domains, x's successor lists."""
     full = (1 << h.vertex_count) - 1
     domains = [full] * x.vertex_count
     for var, val in (pins or {}).items():
@@ -138,8 +121,7 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
         if not (0 <= val < h.vertex_count):
             raise InvalidPin(f"pin value {val} out of range")
         domains[var] &= 1 << val
-    return CspInstance.from_successors(h.vertex_count, tuple(domains), edge_relation(h),
-                                       x.out_neighbors)
+    return CspInstance(tuple(domains), edge_relation(h), x.out_neighbors)
 
 
 def _ac_fixpoint(domains: list[int], inst: CspInstance,
@@ -154,16 +136,15 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     already consistent).
     """
     rel = inst.relation
+    succs, preds, loops = inst.adjacency
     if dirty is None:
-        # self-loop pairs reduce to a unary filter, applied once here;
+        # self-loops reduce to a unary filter, applied once here;
         # incremental calls start from an already filtered state
-        for u, v in inst.constraints:
-            if u == v:
-                domains[u] &= rel.diagonal
-                if not domains[u]:
-                    return False
+        for u in loops:
+            domains[u] &= rel.diagonal
+            if not domains[u]:
+                return False
         dirty = range(len(domains))
-    succs, preds = inst.adjacency
     sides = ((succs, rel.images, rel.image), (preds, rel.preimages, rel.preimage))
     queue = deque(dirty)
     queued = bytearray(len(domains))
@@ -203,7 +184,7 @@ def arc_consistency(inst: CspInstance) -> CspInstance | None:
         return None
     if not _ac_fixpoint(domains, inst):
         return None
-    return CspInstance(inst.domain_size, tuple(domains), inst.relation, inst.constraints)
+    return CspInstance(tuple(domains), inst.relation, inst.succ)
 
 
 class _NodeCounter:
@@ -261,19 +242,18 @@ def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> lis
 
 def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[int, ...] | None:
     """Backtracking with support filtering at every node."""
-    domains = list(inst.domains)
-    if any(d == 0 for d in domains):
+    reduced = arc_consistency(inst)
+    if reduced is None:
         return None
-    if not _ac_fixpoint(domains, inst):
-        return None
-    found = _search(domains, inst, _NodeCounter(node_budget))
+    found = _search(list(reduced.domains), inst, _NodeCounter(node_budget))
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)
     fwd = inst.relation.fwd
-    for u, v in inst.constraints:
-        if not fwd[assignment[u]] >> assignment[v] & 1:
-            raise VerificationFailed(f"solver result violates constraint {u}->{v}")
+    for u, vs in enumerate(inst.succ):
+        for v in vs:
+            if not fwd[assignment[u]] >> assignment[v] & 1:
+                raise VerificationFailed(f"solver result violates constraint {u}->{v}")
     return assignment
 
 
@@ -308,10 +288,11 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
     """
     n = len(inst.domains)
     rel = inst.relation
+    values = range(rel.size)
+    outs, _, loops = inst.adjacency
     domains = list(inst.domains)
-    for u, v in inst.constraints:
-        if u == v:
-            domains[u] &= rel.diagonal
+    for u in loops:
+        domains[u] &= rel.diagonal
     if any(d == 0 for d in domains):
         return None
     if n < 2:
@@ -321,16 +302,13 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
     for u in range(n):
         for v in range(n):
             if u != v:
-                rows[(u, v)] = [domains[v] if domains[u] >> a & 1 else 0
-                                for a in range(inst.domain_size)]
-    for u, v in inst.constraints:
-        if u == v:
-            continue
-        ru, rv = rows[(u, v)], rows[(v, u)]
-        for a in range(inst.domain_size):
-            ru[a] &= rel.fwd[a]
-        for b in range(inst.domain_size):
-            rv[b] &= rel.rev[b]
+                rows[(u, v)] = [domains[v] if domains[u] >> a & 1 else 0 for a in values]
+    for u, vs in enumerate(outs):
+        for v in vs:
+            ru, rv = rows[(u, v)], rows[(v, u)]
+            for a in values:
+                ru[a] &= rel.fwd[a]
+                rv[a] &= rel.rev[a]
     changed = True
     while changed:
         changed = False
@@ -338,7 +316,7 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
             for v in range(u + 1, n):
                 ruv = rows[(u, v)]
                 rvu = rows[(v, u)]
-                for a in range(inst.domain_size):
+                for a in values:
                     row = ruv[a]
                     if not row:
                         continue
@@ -359,5 +337,5 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
     for u in range(n):
         for v in range(u + 1, n):
             family[(u, v)] = frozenset(
-                (a, b) for a in range(inst.domain_size) for b in _bits(rows[(u, v)][a]))
+                (a, b) for a in values for b in _bits(rows[(u, v)][a]))
     return family

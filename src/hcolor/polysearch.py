@@ -34,7 +34,7 @@ Many components of one search are the same sub-instance (same domains,
 same constraints, and within a search the same relation), so each search
 keeps a memo from sub-instance to assignment and builds and solves each
 distinct one once.  The key, the domains and each class's sorted successor
-classes, is the sorted constraint list in another form.  This is exact:
+classes, is the sub-instance's `domains` and `succ`.  This is exact:
 `solve_instance` is deterministic and starts a fresh node count on every
 call, so an identical instance gets the identical answer under any node
 budget.  The memo lives for one search only, and the assembled table is
@@ -246,15 +246,15 @@ def indicator(h: Digraph, sys: IdentitySystem,
     for root, val in pinned.items():
         domains[class_ids[root]] = 1 << val
 
-    pairs: set[tuple[int, int]] = set()
+    succ: list[set[int]] = [set() for _ in range(nvars)]
     for combo in product(h.edges_sorted, repeat=k) if h.edges else ():
         tail = 0
         head = 0
         for u, v in combo:
             tail = tail * n + u
             head = head * n + v
-        pairs.add((class_of[tail], class_of[head]))
-    inst = CspInstance(n, tuple(domains), edge_relation(h), tuple(sorted(pairs)))
+        succ[class_of[tail]].add(class_of[head])
+    inst = CspInstance(tuple(domains), edge_relation(h), tuple(tuple(sorted(s)) for s in succ))
     return Indicator(inst, tuple(class_of), k, n)
 
 
@@ -268,26 +268,16 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     inst = ind.instance
     comps = [sorted(part) for part in connected_components(
         Digraph.from_edges(inst.variable_count, inst.constraints))]
-    comp_of = [0] * inst.variable_count
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    owned: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for con in inst.constraints:
-        owned[comp_of[con[0]]].append(con)
 
-    def key(ci: int) -> tuple[bool, int, int]:
-        comp = comps[ci]
+    def key(comp: list[int]) -> tuple[bool, int, int]:
         pinned = any(inst.domains[v].bit_count() == 1 for v in comp)
         return (not pinned, len(comp), comp[0])
 
     assignment: list[int | None] = [None] * inst.variable_count
-    for ci in sorted(range(len(comps)), key=key):
-        comp = comps[ci]
+    for comp in sorted(comps, key=key):
         index = {v: i for i, v in enumerate(comp)}
-        domains = tuple(inst.domains[v] for v in comp)
-        constraints = tuple((index[u], index[v]) for u, v in owned[ci])
-        sub = CspInstance(inst.domain_size, domains, inst.relation, constraints)
+        sub = CspInstance(tuple(inst.domains[v] for v in comp), inst.relation,
+                          tuple(tuple(index[w] for w in inst.succ[v]) for v in comp))
         found = solve_instance(sub, node_budget)
         if found is None:
             return None
@@ -405,7 +395,7 @@ class _LazyIndicator:
         found = self.solutions.get(key, _UNSOLVED)
         if found is _UNSOLVED:
             found = self.solutions[key] = solve_instance(
-                CspInstance.from_successors(self.n, key[0], self.rel, key[1]), node_budget)
+                CspInstance(key[0], self.rel, key[1]), node_budget)
         return found
 
 

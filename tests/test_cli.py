@@ -205,6 +205,17 @@ class TestConvert:
         assert code == 0
         assert read_dg(out).vertex_count == 16
 
+    def test_bad_path_literal(self, tmp_path, capsys):
+        out = tmp_path / "p.dg"
+        assert main(["convert", "--path", "012", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad path '012'")
+        assert not out.exists()
+
+    def test_empty_path_is_one_vertex(self, tmp_path, capsys):
+        out = tmp_path / "p.dg"
+        assert main(["convert", "--path", "", "--out", str(out)]) == 0
+        assert out.read_text() == "digraph 1 0\n"
+
     def test_round_trip_parsers(self, tmp_path, capsys):
         out = tmp_path / "t.dg"
         spec = tmp_path / "t.stree"

@@ -54,30 +54,37 @@ class TestBuildInstance:
             build_instance(EDGE, EDGE, pins={9: 0})
 
     def test_adjacency_read_off_successors(self):
-        # the successor-built adjacency equals the one rebuilt from the
-        # constraint pairs; self-loops stay in the pairs only
+        # the adjacency read off the successor lists equals the one built
+        # pair by pair; self-loops go to the loop list only
         rng = random.Random(12)
+        looped = 0
         for _ in range(100):
             x = random_looped_digraph(rng, 7, 0.4)
             inst = build_instance(x, EDGE)
-            plain = CspInstance(inst.domain_size, inst.domains, inst.relation, inst.constraints)
             assert inst.constraints == x.edges_sorted
-            assert inst.adjacency == plain.adjacency == reference_adjacency(inst)
-            succ = [tuple(sorted(rng.sample(range(7), rng.randint(0, 4)))) for _ in range(7)]
-            inst = CspInstance.from_successors(2, (3,) * 7, inst.relation, succ)
+            assert inst.adjacency == reference_adjacency(inst)
+            looped += bool(inst.adjacency[2])
+            succ = tuple(tuple(sorted(rng.sample(range(7), rng.randint(0, 4))))
+                         for _ in range(7))
+            inst = CspInstance((3,) * 7, inst.relation, succ)
             assert inst.constraints == tuple((u, v) for u, vs in enumerate(succ) for v in vs)
             assert inst.adjacency == reference_adjacency(inst)
+        assert looped
 
 
 def reference_adjacency(inst):
-    """Successors and predecessors per variable, pair by pair, self-loops out."""
+    """Successors and predecessors per variable, pair by pair, self-loops
+    out; and the variables with a self-loop pair."""
     succs = [[] for _ in inst.domains]
     preds = [[] for _ in inst.domains]
+    loops = []
     for u, v in inst.constraints:
-        if u != v:
+        if u == v:
+            loops.append(u)
+        else:
             succs[u].append(v)
             preds[v].append(u)
-    return tuple(map(tuple, succs)), tuple(map(tuple, preds))
+    return tuple(map(tuple, succs)), tuple(map(tuple, preds)), tuple(loops)
 
 
 class TestArcConsistency:
@@ -108,7 +115,7 @@ def reference_ac(inst):
     """Arc consistency by plain sweeps: every pair revised both ways until
     nothing changes; None when a domain empties."""
     fwd, rev = inst.relation.fwd, inst.relation.rev
-    values = range(inst.domain_size)
+    values = range(inst.relation.size)
     doms = list(inst.domains)
     changed = True
     while changed:
@@ -306,12 +313,41 @@ class TestConsistency23:
         assert fam[(0, 1)] == frozenset({(0, 1)})
 
     def test_empty_implies_unsolvable(self):
+        self.check_family(lambda rng: (random_digraph(rng, 5), random_digraph(rng, 4)))
+
+    def test_empty_implies_unsolvable_with_loops(self):
+        loops = self.check_family(lambda rng: (random_looped_digraph(rng, 5, 0.4),
+                                               random_looped_digraph(rng, 4, 0.4)))
+        assert loops
+
+    @staticmethod
+    def check_family(draw) -> int:
+        """Collapse only on unsolvable instances; every homomorphism's pair
+        projections in the family, and every pair in it satisfying the
+        constraints on its two variables, self-loops included.  Returns how
+        many drawn instances have a self-loop."""
         rng = random.Random(31)
+        hits = {"refuted": 0, "solvable": 0, "loops": 0}
         for _ in range(40):
-            x, h = random_digraph(rng, 5), random_digraph(rng, 4)
+            x, h = draw(rng)
+            hits["loops"] += any(u == v for u, v in x.edges | h.edges)
             fam = consistency_23(build_instance(x, h))
+            homs = enumerate_homs(x, h)
             if fam is None:
-                assert not enumerate_homs(x, h)
+                assert not homs
+                hits["refuted"] += 1
+                continue
+            hits["solvable"] += bool(homs)
+            for hom in homs:
+                for (u, v), pairs in fam.items():
+                    assert (hom[u], hom[v]) in pairs
+            for (u, v), pairs in fam.items():
+                for a, b in pairs:
+                    for (s, t), (c, d) in (((u, v), (a, b)), ((v, u), (b, a)),
+                                           ((u, u), (a, a)), ((v, v), (b, b))):
+                        assert (s, t) not in x.edges or (c, d) in h.edges
+        assert hits["refuted"] and hits["solvable"]
+        return hits["loops"]
 
     def test_majority_target_decides(self):
         # an oriented path admits a majority polymorphism, so pair

@@ -324,6 +324,18 @@ class TestLazyMatchesFullIndicator:
             assert outcome(find_polymorphism, h, sys_) == outcome(reference_search, h, sys_), \
                 (kind, sorted(h.edges))
 
+    def test_searches_never_read_constraint_pairs(self, graphs, monkeypatch):
+        # the lazy path hands the solver successor lists and nothing
+        # downstream expands them into pairs
+        def no_pairs(inst):
+            raise AssertionError("constraint pairs were read")
+
+        monkeypatch.setattr(homsolver.CspInstance, "constraints", property(no_pairs))
+        found = 0
+        for h in graphs[::20]:
+            found += sum(t is not None for t in (find_wnu(h, 2), find_wnu(h, 3), find_siggers(h)))
+        assert found
+
     @pytest.mark.parametrize("kind", sorted(WALK_SYSTEMS))
     def test_small_digraphs_with_loops(self, kind):
         graphs = all_digraphs(2) + random.Random(9).sample(all_digraphs(3), 40)
