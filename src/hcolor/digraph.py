@@ -169,13 +169,6 @@ def power_index(base: int, tup: tuple[int, ...]) -> int:
     return idx
 
 
-def power_tuple(base: int, n: int, idx: int) -> tuple[int, ...]:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        idx, out[i] = divmod(idx, base)
-    return tuple(out)
-
-
 def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digraph:
     """The n-th direct power: tuples as vertices, coordinatewise edges."""
     if n < 1:

@@ -6,17 +6,18 @@ successor lists: each v in succ[u] asks for (value of u, value of v) in
 that relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's neighbours through the relation's memoized images and
 preimages.  Everything is deterministic: fixed variable order (smallest
-domain, lowest index) and ascending value order.  Domains only shrink down
-a branch, so each search frame keeps its open variables (two or more
-values) and a child picks among those alone.
+domain, lowest index) and ascending value order.  The search works on one
+domain list in place: each frame records the old domains of the variables
+its node changed and restores them on backtracking, and the branching
+variable comes from one lazy min-heap of variables per domain size.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .digraph import Digraph
 from .errors import BudgetExceeded, InvalidPin, VerificationFailed
@@ -124,8 +125,8 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
     return CspInstance(tuple(domains), edge_relation(h), x.out_neighbors)
 
 
-def _ac_fixpoint(domains: list[int], inst: CspInstance,
-                 dirty: list[int] | None = None) -> bool:
+def _ac_fixpoint(domains: list[int], inst: CspInstance, dirty: list[int] | None = None,
+                 trail: tuple[list[int], list[int]] | None = None) -> bool:
     """Arc consistency in place, queueing variables; False when a domain empties.
 
     A popped variable x filters each successor to the image of its domain
@@ -133,7 +134,8 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     memos (searches revisit few distinct domain masks, so the memos stay
     small); a variable whose domain shrinks is queued again.  With `dirty`
     given, only those variables seed the queue (the rest are assumed
-    already consistent).
+    already consistent), and the first narrowing of every other variable
+    appends it and its old domain to the `trail` lists.
     """
     rel = inst.relation
     succs, preds, loops = inst.adjacency
@@ -145,14 +147,16 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
             if not domains[u]:
                 return False
         dirty = range(len(domains))
+    changed, olds = trail if trail is not None else ([], [])
     sides = ((succs, rel.images, rel.image), (preds, rel.preimages, rel.preimage))
     queue = deque(dirty)
-    queued = bytearray(len(domains))
+    # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped
+    state = bytearray(len(domains))
     for x in queue:
-        queued[x] = 1
+        state[x] = 1
     while queue:
         x = queue.popleft()
-        queued[x] = 0
+        state[x] = 2
         dx = domains[x]
         for side, memo, close in sides:
             nbrs = side[x]
@@ -164,12 +168,16 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
             for y in nbrs:
                 dy = domains[y]
                 if dy & ~support:
-                    dy &= support
-                    if not dy:
+                    narrowed = dy & support
+                    if not narrowed:
                         return False
-                    domains[y] = dy
-                    if not queued[y]:
-                        queued[y] = 1
+                    domains[y] = narrowed
+                    seen = state[y]
+                    if seen != 1:
+                        if not seen:
+                            changed.append(y)
+                            olds.append(dy)
+                        state[y] = 1
                         queue.append(y)
     return True
 
@@ -200,43 +208,71 @@ class _NodeCounter:
             self.left -= 1
 
 
-def _branch_var(domains: list[int], candidates) -> tuple[int, list[int]]:
-    """The candidate with the fewest values (lowest index first) among those
-    with two or more, -1 when none has; and those open candidates, in order."""
-    best, best_size = -1, sys.maxsize  # more values than any domain has
-    open_vars = []
-    for i in candidates:
-        size = domains[i].bit_count()
+def _push(domains: list[int], buckets: list[list[int]], variables) -> None:
+    """Push each open variable into the bucket of its domain's size."""
+    for var in variables:
+        size = domains[var].bit_count()
         if size > 1:
-            open_vars.append(i)
-            if size < best_size:
-                best, best_size = i, size
-    return best, open_vars
+            heappush(buckets[size], var)
+
+
+def _pick(domains: list[int], buckets: list[list[int]], popped: list) -> int:
+    """The open variable with the fewest values, lowest index first; -1 when
+    none is open.  buckets[size] is a min-heap holding every variable whose
+    domain has that size (and stale entries); the stale tops passed over
+    are popped and appended to `popped` as (heap, variable)."""
+    for size in range(2, len(buckets)):
+        heap = buckets[size]
+        while heap:
+            var = heap[0]
+            if domains[var].bit_count() == size:
+                return var
+            popped.append((heap, heappop(heap)))
+    return -1
+
+
+def _undo(domains: list[int], changed: list[int], olds: list[int], popped: list) -> None:
+    """Restore the recorded domains and push back the stale entries popped."""
+    for var, old in zip(changed, olds):
+        domains[var] = old
+    for heap, var in popped:
+        heappush(heap, var)
 
 
 def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list[int] | None:
-    """Iterative backtracking; frames hold resumable value generators and
-    their open variables, the only candidates below them."""
-    var, open_vars = _branch_var(domains, range(len(domains)))
+    """Iterative backtracking on `domains`, changed in place.
+
+    A frame holds its branching variable, a resumable value generator and
+    the undo record of the node that made it: each variable that node
+    changed (the decision, then AC's narrowings) with its old domain, and
+    the stale bucket entries its `_pick` popped.  A domain that changes is
+    pushed into the bucket of its new size.  An undo pushes back only what
+    its node's `_pick` popped: every entry valid above that node was left
+    in its bucket or popped there.
+    """
+    buckets: list[list[int]] = [[] for _ in range(max(domains, default=0).bit_length() + 1)]
+    _push(domains, buckets, range(len(domains)))
+    var = _pick(domains, buckets, [])
     if var < 0:
         return domains
-    stack = [(domains, var, _bits(domains[var]), open_vars)]
+    stack = [(var, _bits(domains[var]), ([], [], []))]
     while stack:
-        parent, var, values, open_vars = stack[-1]
-        advanced = False
+        var, values, _ = stack[-1]
         for val in values:
             counter.tick()
-            trial = list(parent)
-            trial[var] = 1 << val
-            if _ac_fixpoint(trial, inst, dirty=[var]):
-                nxt, still_open = _branch_var(trial, open_vars)
+            changed, olds = [var], [domains[var]]
+            domains[var] = 1 << val
+            if _ac_fixpoint(domains, inst, [var], (changed, olds)):
+                _push(domains, buckets, changed)
+                popped: list = []
+                nxt = _pick(domains, buckets, popped)
                 if nxt < 0:
-                    return trial
-                stack.append((trial, nxt, _bits(trial[nxt]), still_open))
-                advanced = True
+                    return domains
+                stack.append((nxt, _bits(domains[nxt]), (changed, olds, popped)))
                 break
-        if not advanced:
-            stack.pop()
+            _undo(domains, changed, olds, ())
+        else:
+            _undo(domains, *stack.pop()[2])
     return None
 
 

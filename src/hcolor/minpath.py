@@ -55,11 +55,6 @@ class OrientedPath:
         return self.directions
 
 
-def net_length(p: OrientedPath) -> int:
-    """Forward edges minus backward edges."""
-    return p.directions.count("1") - p.directions.count("0")
-
-
 def is_minimal(p: OrientedPath) -> bool:
     """Initial vertex at level 0, terminal at the height, interior strictly between."""
     levels = p.levels

@@ -2,17 +2,24 @@
 
 `enumerate_homs` lists homomorphisms by plain enumeration, the oracle for
 the solver, and `branch_var` picks the solver's branching variable by
-scanning every domain.  The other functions evaluate operation tables one
-argument tuple at a time through a Python closure, the way the library did
-before it built these tables by index arithmetic.
+scanning every domain.  `search` is the backtracking search as it was
+before it worked in place: every node copies the domain list, and a frame
+keeps its open variables for `open_branch_var` to pick among.
+`power_tuple` and `net_length` invert `power_index` and measure a path.
+The other functions evaluate operation tables one argument tuple at a
+time through a Python closure, the way the library did before it built
+these tables by index arithmetic.
 """
 
+import sys
 from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
 from hcolor.digraph import Digraph, power_index
 from hcolor.errors import BudgetExceeded, ConstructionStuck
+from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter
+from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
 
@@ -50,6 +57,59 @@ def branch_var(domains: list[int]) -> int:
         if size >= 2 and (best < 0 or size < best_size):
             best, best_size = i, size
     return best
+
+
+def open_branch_var(domains: list[int], candidates) -> tuple[int, list[int]]:
+    """The candidate with the fewest values (lowest index first) among those
+    with two or more, -1 when none has; and those open candidates, in order."""
+    best, best_size = -1, sys.maxsize  # more values than any domain has
+    open_vars = []
+    for i in candidates:
+        size = domains[i].bit_count()
+        if size > 1:
+            open_vars.append(i)
+            if size < best_size:
+                best, best_size = i, size
+    return best, open_vars
+
+
+def search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list[int] | None:
+    """Iterative backtracking; frames hold resumable value generators and
+    their open variables, the only candidates below them."""
+    var, open_vars = open_branch_var(domains, range(len(domains)))
+    if var < 0:
+        return domains
+    stack = [(domains, var, _bits(domains[var]), open_vars)]
+    while stack:
+        parent, var, values, open_vars = stack[-1]
+        advanced = False
+        for val in values:
+            counter.tick()
+            trial = list(parent)
+            trial[var] = 1 << val
+            if _ac_fixpoint(trial, inst, dirty=[var]):
+                nxt, still_open = open_branch_var(trial, open_vars)
+                if nxt < 0:
+                    return trial
+                stack.append((trial, nxt, _bits(trial[nxt]), still_open))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+    return None
+
+
+def power_tuple(base: int, n: int, idx: int) -> tuple[int, ...]:
+    """The tuple whose `power_index` is idx."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        idx, out[i] = divmod(idx, base)
+    return tuple(out)
+
+
+def net_length(p: OrientedPath) -> int:
+    """Forward edges minus backward edges."""
+    return p.directions.count("1") - p.directions.count("0")
 
 
 def wnu_extension_values(tree, tau: OperationTable, delta) -> list[int]:

@@ -18,10 +18,10 @@ from hcolor.algebra import (
 from hcolor.classify import BOUNDED_WIDTH, NP_COMPLETE, classify_special_tree, verify_lemma_suite
 from hcolor.digraph import Digraph
 from hcolor.homsolver import build_instance, consistency_23, solve_hom
-from hcolor.minpath import OrientedPath, is_minimal, net_length
+from hcolor.minpath import OrientedPath, is_minimal
 from hcolor.polysearch import find_majority, find_siggers, find_tsi, find_wnu
 from hcolor.spectree import SpecialTreeSpec, canned_triad, compile_tree, recover_top_bottom
-from reference import enumerate_homs
+from reference import enumerate_homs, net_length
 
 TRIANGLE = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
 

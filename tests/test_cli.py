@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,35 @@ class TestConvert:
         spec.write_text(format_stree(canned_triad()))
         main(["convert", "--tree", str(spec), "--out", str(out)])
         assert parse_dg(out.read_text()).vertex_count == 39
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(module, *args, cwd):
+    """Run `python -m module args` on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestModuleEntry:
+    """`python -m hcolor` and `python -m hcolor.cli` run the CLI and keep
+    its exit codes."""
+
+    @pytest.mark.parametrize("module", ["hcolor", "hcolor.cli"])
+    def test_missing_out_is_usage_error(self, tmp_path, module):
+        done = run_module(module, "convert", "--path", "11", cwd=tmp_path)
+        assert done.returncode == 2
+        assert "--out" in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("module", ["hcolor", "hcolor.cli"])
+    def test_convert_writes_file(self, tmp_path, module):
+        done = run_module(module, "convert", "--path", "11", "--out", "p.dg", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert read_dg(tmp_path / "p.dg").vertex_count == 3
 
 
 class TestUsage:

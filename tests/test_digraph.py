@@ -17,10 +17,10 @@ from hcolor.digraph import (
     is_oriented_tree,
     parse_dg,
     power_index,
-    power_tuple,
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
 from hcolor.minpath import OrientedPath
+from reference import power_tuple
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 TWO_CYCLE = Digraph.from_edges(2, [(0, 1), (1, 0)])

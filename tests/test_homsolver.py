@@ -1,25 +1,31 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from corpus import random_special_trees
+from corpus import loopless_digraphs_up_to_iso, random_special_trees
 from hcolor import homsolver
 from hcolor.digraph import Digraph
 from hcolor.errors import BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
     CspInstance,
     _ac_fixpoint,
-    _branch_var,
+    _NodeCounter,
+    _pick,
+    _push,
+    _search,
+    _undo,
     arc_consistency,
     build_instance,
     consistency_23,
     solve_hom,
 )
 from hcolor.minpath import OrientedPath
-from hcolor.polysearch import find_wnu_on_top_bottom
+from hcolor.polysearch import find_majority, find_siggers, find_wnu, find_wnu_on_top_bottom
 from hcolor.spectree import canned_triad, compile_tree
-from reference import branch_var, enumerate_homs
+from reference import branch_var, enumerate_homs, open_branch_var
+from reference import search as reference_search
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 
@@ -182,38 +188,155 @@ def open_vars(domains, candidates):
 
 
 class TestBranchVar:
-    """The open-list scan against the full scan of every domain."""
+    """The bucket picker, and the reference search's open-list scan,
+    against the full scan of every domain."""
 
     def test_random_domain_lists(self):
         # a child's domains shrink from its parent's, so the parent's open
-        # variables are the only candidates it needs
+        # variables are the only candidates the open-list scan needs
         rng = random.Random(8)
         for _ in range(2000):
             size = rng.randint(1, 6)
             parent = [rng.randrange(1, 1 << size) for _ in range(rng.randint(0, 12))]
-            var, open_parent = _branch_var(parent, range(len(parent)))
+            var, open_parent = open_branch_var(parent, range(len(parent)))
             assert (var, open_parent) == (branch_var(parent), open_vars(parent, range(len(parent))))
             child = [d & rng.choice((d, d & -d, rng.randrange(1 << size) | d & -d))
                      for d in parent]
-            assert _branch_var(child, open_parent) == (branch_var(child),
-                                                       open_vars(child, open_parent))
+            assert open_branch_var(child, open_parent) == (branch_var(child),
+                                                           open_vars(child, open_parent))
+            self.check_buckets(rng, parent)
+
+    @staticmethod
+    def check_buckets(rng, domains):
+        """Narrow a chain of nodes in place as the search does, then undo
+        them one by one; every pick, also a repeated one on a restored
+        state, is the full scan's choice."""
+        buckets = [[] for _ in range(max(domains, default=0).bit_length() + 1)]
+        _push(domains, buckets, range(len(domains)))
+        states, records = [list(domains)], [([], [], [])]
+        assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
+        for _ in range(rng.randint(1, 4)):
+            changed, olds = [], []
+            for i, d in enumerate(domains):
+                if d & (d - 1) and rng.random() < 0.4:
+                    changed.append(i)
+                    olds.append(d)
+                    domains[i] = d & (rng.randrange(1 << d.bit_length()) | d & -d)
+            _push(domains, buckets, changed)
+            states.append(list(domains))
+            records.append((changed, olds, []))
+            assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
+        while len(records) > 1:
+            _undo(domains, *records.pop())
+            states.pop()
+            assert domains == states[-1]
+            assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
 
     def test_states_recorded_from_corpus_searches(self, monkeypatch):
+        # every choice the search makes, checked on the domains it was
+        # made on
         calls = []
-        scan = homsolver._branch_var
+        pick = homsolver._pick
 
-        def recording(domains, candidates):
-            got = scan(domains, candidates)
-            calls.append((list(domains), list(candidates), got))
+        def recording(domains, buckets, popped):
+            got = pick(domains, buckets, popped)
+            calls.append(got == branch_var(domains))
             return got
 
-        monkeypatch.setattr(homsolver, "_branch_var", recording)
+        monkeypatch.setattr(homsolver, "_pick", recording)
         for spec in random_special_trees(25)[::3]:
             tree = compile_tree(spec)
             find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
         assert len(calls) > 1000
-        for domains, candidates, got in calls:
-            assert got == (branch_var(domains), open_vars(domains, candidates))
+        assert all(calls)
+
+
+def search_outcome(search, domains, inst, budget=None):
+    """(assignment or None, nodes) of a search, or ("budget", nodes) when
+    the node budget runs out; nodes counts the values tried."""
+    counter = _NodeCounter(10 ** 9 if budget is None else budget)
+    start = counter.left
+    try:
+        found = search(list(domains), inst, counter)
+    except BudgetExceeded:
+        return "budget", start - counter.left
+    return (None if found is None else tuple(found)), start - counter.left
+
+
+class TestSearchAgainstReference:
+    """The in-place search against the copying search it replaces: the same
+    assignment or refutation after the same number of nodes, and the same
+    budget exhaustion under every smaller node budget."""
+
+    def compare(self, domains, inst, every_budget: bool) -> tuple:
+        got = search_outcome(_search, domains, inst)
+        assert got == search_outcome(reference_search, domains, inst)
+        nodes = got[1]
+        budgets = range(nodes + 1) if every_budget else {0, nodes - 1, nodes} - {-1}
+        for budget in budgets:
+            want = got if budget == nodes else ("budget", budget)
+            assert search_outcome(_search, domains, inst, budget) == want
+            assert search_outcome(reference_search, domains, inst, budget) == want
+        return got
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(53)
+        hits = {"found": 0, "refuted": 0}
+        for _ in range(600):
+            x = random_looped_digraph(rng, 10, 0.3)
+            h = random_looped_digraph(rng, 4, 0.5)
+            pinned = rng.sample(range(x.vertex_count), min(rng.randint(0, 2), x.vertex_count))
+            inst = build_instance(x, h, {var: rng.randrange(h.vertex_count) for var in pinned})
+            reduced = arc_consistency(inst)
+            if reduced is None:
+                continue
+            found, nodes = self.compare(reduced.domains, inst, every_budget=True)
+            if nodes:
+                hits["found" if found else "refuted"] += 1
+        assert hits["found"] > 100 and hits["refuted"] > 20, hits
+
+    def test_polymorphism_searches(self, monkeypatch):
+        # the corpus trees' top-and-bottom WNU3 (all found, up to 396
+        # nodes) and the dense searches on every 10th loopless 4-vertex
+        # digraph (some refuted after branching)
+        searched = []
+        search = homsolver._search
+
+        def recording(domains, inst, counter):
+            searched.append((tuple(domains), inst))
+            return search(domains, inst, counter)
+
+        monkeypatch.setattr(homsolver, "_search", recording)
+        for spec in random_special_trees(25):
+            tree = compile_tree(spec)
+            find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+        corpus = len(searched)
+        for h in loopless_digraphs_up_to_iso(4)[::10]:
+            for run in (lambda: find_wnu(h, 2), lambda: find_wnu(h, 3),
+                        lambda: find_majority(h), lambda: find_siggers(h)):
+                run()
+        monkeypatch.undo()
+        outcomes = [self.compare(domains, inst, every_budget=i >= corpus)
+                    for i, (domains, inst) in enumerate(searched)]
+        assert sum(nodes for _, nodes in outcomes[:corpus]) == 7403
+        assert sum(nodes for _, nodes in outcomes[corpus:]) == 1090
+        assert sum(found is None and nodes > 0 for found, nodes in outcomes) == 12
+
+
+class TestSearchMemory:
+    def test_top_bottom_wnu_peak_on_corpus_trees(self):
+        # one domain list changed in place: the copying search peaked at
+        # about 5 MB on these two trees, one copy of 1,043 domains per node
+        specs = random_special_trees(25)
+        for i in (16, 17):
+            tree = compile_tree(specs[i])
+            tracemalloc.start()
+            try:
+                find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_500_000, (i, peak)
 
 
 class TestSolveHom:

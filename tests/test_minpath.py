@@ -9,9 +9,9 @@ from hcolor.minpath import (
     OrientedPath,
     common_onto_minimal_path,
     is_minimal,
-    net_length,
     path_onto_hom,
 )
+from reference import net_length
 
 LONG_MINIMAL_PATH = OrientedPath("110110110001111")
 
