@@ -9,7 +9,8 @@ preimages.  Everything is deterministic: fixed variable order (smallest
 domain, lowest index) and ascending value order.  The search works on one
 domain list in place: each frame records the old domains of the variables
 its node changed and restores them on backtracking, and the branching
-variable comes from one lazy min-heap of variables per domain size.
+variable comes from one lazy min-heap of variables per domain size, which
+holds each variable at most once.
 """
 
 from __future__ import annotations
@@ -125,31 +126,34 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
     return CspInstance(tuple(domains), edge_relation(h), x.out_neighbors)
 
 
-def _ac_fixpoint(domains: list[int], inst: CspInstance, dirty: list[int] | None = None,
+def _ac_fixpoint(domains: list[int], inst: CspInstance,
                  trail: tuple[list[int], list[int]] | None = None) -> bool:
     """Arc consistency in place, queueing variables; False when a domain empties.
 
     A popped variable x filters each successor to the image of its domain
     and each predecessor to the preimage, both looked up in the relation's
     memos (searches revisit few distinct domain masks, so the memos stay
-    small); a variable whose domain shrinks is queued again.  With `dirty`
-    given, only those variables seed the queue (the rest are assumed
-    already consistent), and the first narrowing of every other variable
-    appends it and its old domain to the `trail` lists.
+    small); a variable whose domain shrinks is queued again.  A search node
+    passes its `trail`: the variables it changed and their old domains.
+    Only those variables seed the queue (the rest are assumed already
+    consistent), and the first narrowing of every other variable appends
+    it and its old domain to the trail.
     """
     rel = inst.relation
     succs, preds, loops = inst.adjacency
-    if dirty is None:
+    if trail is None:
         # self-loops reduce to a unary filter, applied once here;
         # incremental calls start from an already filtered state
         for u in loops:
             domains[u] &= rel.diagonal
             if not domains[u]:
                 return False
-        dirty = range(len(domains))
-    changed, olds = trail if trail is not None else ([], [])
+        changed, olds = [], []  # every variable is seeded, none recorded
+        queue = deque(range(len(domains)))
+    else:
+        changed, olds = trail
+        queue = deque(changed)
     sides = ((succs, rel.images, rel.image), (preds, rel.preimages, rel.preimage))
-    queue = deque(dirty)
     # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped
     state = bytearray(len(domains))
     for x in queue:
@@ -208,35 +212,51 @@ class _NodeCounter:
             self.left -= 1
 
 
-def _push(domains: list[int], buckets: list[list[int]], variables) -> None:
-    """Push each open variable into the bucket of its domain's size."""
-    for var in variables:
-        size = domains[var].bit_count()
-        if size > 1:
-            heappush(buckets[size], var)
+class _Buckets:
+    """One lazy min-heap of variable indices per domain size.
+
+    Invariant: every open variable is in the heap of its domain's size.
+    held[size][var] is 1 when heaps[size] holds var, so a heap holds each
+    variable at most once; sizes 0 and 1 read as always held, so closed
+    variables are never pushed.  An entry whose variable has since changed
+    size is stale; `pick` drops stale tops and clears their marks.
+    """
+
+    __slots__ = ("heaps", "held")
+
+    def __init__(self, domains: list[int]):
+        n = len(domains)
+        top = max(map(int.bit_count, domains), default=0)  # sizes only shrink
+        self.heaps: list[list[int]] = [[] for _ in range(top + 1)]
+        self.held = [b"\x01" * n] * 2 + [bytearray(n) for _ in range(2, top + 1)]
+        self.push(domains, range(n))
+
+    def push(self, domains: list[int], variables) -> None:
+        """Put each open variable in the heap of its size, if not there."""
+        heaps, held = self.heaps, self.held
+        for var in variables:
+            size = domains[var].bit_count()
+            mark = held[size]
+            if not mark[var]:
+                mark[var] = 1
+                heappush(heaps[size], var)
+
+    def pick(self, domains: list[int]) -> int:
+        """The open variable with the fewest values, lowest index first; -1
+        when none is open."""
+        for size in range(2, len(self.heaps)):
+            heap, mark = self.heaps[size], self.held[size]
+            while heap:
+                var = heap[0]
+                if domains[var].bit_count() == size:
+                    return var
+                mark[heappop(heap)] = 0
+        return -1
 
 
-def _pick(domains: list[int], buckets: list[list[int]], popped: list) -> int:
-    """The open variable with the fewest values, lowest index first; -1 when
-    none is open.  buckets[size] is a min-heap holding every variable whose
-    domain has that size (and stale entries); the stale tops passed over
-    are popped and appended to `popped` as (heap, variable)."""
-    for size in range(2, len(buckets)):
-        heap = buckets[size]
-        while heap:
-            var = heap[0]
-            if domains[var].bit_count() == size:
-                return var
-            popped.append((heap, heappop(heap)))
-    return -1
-
-
-def _undo(domains: list[int], changed: list[int], olds: list[int], popped: list) -> None:
-    """Restore the recorded domains and push back the stale entries popped."""
+def _restore(domains: list[int], changed: list[int], olds: list[int]) -> None:
     for var, old in zip(changed, olds):
         domains[var] = old
-    for heap, var in popped:
-        heappush(heap, var)
 
 
 def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list[int] | None:
@@ -244,35 +264,36 @@ def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> lis
 
     A frame holds its branching variable, a resumable value generator and
     the undo record of the node that made it: each variable that node
-    changed (the decision, then AC's narrowings) with its old domain, and
-    the stale bucket entries its `_pick` popped.  A domain that changes is
-    pushed into the bucket of its new size.  An undo pushes back only what
-    its node's `_pick` popped: every entry valid above that node was left
-    in its bucket or popped there.
+    changed (the decision, then AC's narrowings) with its old domain.
+    After AC the changed variables go into the buckets of their new sizes.
+    Undoing a node pushes its restored variables back, since a pick below
+    it may have dropped them as stale.  A failed value needs no push: no
+    pick ran since its changes.  The buckets hold at most variables times
+    sizes entries, however long the search runs.
     """
-    buckets: list[list[int]] = [[] for _ in range(max(domains, default=0).bit_length() + 1)]
-    _push(domains, buckets, range(len(domains)))
-    var = _pick(domains, buckets, [])
+    buckets = _Buckets(domains)
+    var = buckets.pick(domains)
     if var < 0:
         return domains
-    stack = [(var, _bits(domains[var]), ([], [], []))]
+    stack = [(var, _bits(domains[var]), ([], []))]
     while stack:
         var, values, _ = stack[-1]
         for val in values:
             counter.tick()
-            changed, olds = [var], [domains[var]]
+            trail = [var], [domains[var]]
             domains[var] = 1 << val
-            if _ac_fixpoint(domains, inst, [var], (changed, olds)):
-                _push(domains, buckets, changed)
-                popped: list = []
-                nxt = _pick(domains, buckets, popped)
+            if _ac_fixpoint(domains, inst, trail):
+                buckets.push(domains, trail[0])
+                nxt = buckets.pick(domains)
                 if nxt < 0:
                     return domains
-                stack.append((nxt, _bits(domains[nxt]), (changed, olds, popped)))
+                stack.append((nxt, _bits(domains[nxt]), trail))
                 break
-            _undo(domains, changed, olds, ())
+            _restore(domains, *trail)
         else:
-            _undo(domains, *stack.pop()[2])
+            changed, olds = stack.pop()[2]
+            _restore(domains, changed, olds)
+            buckets.push(domains, changed)
     return None
 
 

@@ -87,7 +87,7 @@ def search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list
             counter.tick()
             trial = list(parent)
             trial[var] = 1 << val
-            if _ac_fixpoint(trial, inst, dirty=[var]):
+            if _ac_fixpoint(trial, inst, ([var], [parent[var]])):
                 nxt, still_open = open_branch_var(trial, open_vars)
                 if nxt < 0:
                     return trial

@@ -11,11 +11,10 @@ from hcolor.errors import BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
     CspInstance,
     _ac_fixpoint,
+    _Buckets,
     _NodeCounter,
-    _pick,
-    _push,
+    _restore,
     _search,
-    _undo,
     arc_consistency,
     build_instance,
     consistency_23,
@@ -175,7 +174,7 @@ class TestFixpointAgainstReference:
                 domains = list(expect)
                 domains[var] = 1 << val
                 scratch = reference_ac(replace(inst, domains=tuple(domains)))
-                consistent = _ac_fixpoint(domains, inst, dirty=[var])
+                consistent = _ac_fixpoint(domains, inst, ([var], [expect[var]]))
                 assert consistent == (scratch is not None)
                 if consistent:
                     assert domains == scratch
@@ -211,10 +210,9 @@ class TestBranchVar:
         """Narrow a chain of nodes in place as the search does, then undo
         them one by one; every pick, also a repeated one on a restored
         state, is the full scan's choice."""
-        buckets = [[] for _ in range(max(domains, default=0).bit_length() + 1)]
-        _push(domains, buckets, range(len(domains)))
-        states, records = [list(domains)], [([], [], [])]
-        assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
+        buckets = _Buckets(domains)
+        states, records = [list(domains)], []
+        assert buckets.pick(domains) == branch_var(domains)
         for _ in range(rng.randint(1, 4)):
             changed, olds = [], []
             for i, d in enumerate(domains):
@@ -222,33 +220,93 @@ class TestBranchVar:
                     changed.append(i)
                     olds.append(d)
                     domains[i] = d & (rng.randrange(1 << d.bit_length()) | d & -d)
-            _push(domains, buckets, changed)
+            buckets.push(domains, changed)
             states.append(list(domains))
-            records.append((changed, olds, []))
-            assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
-        while len(records) > 1:
-            _undo(domains, *records.pop())
+            records.append((changed, olds))
+            assert buckets.pick(domains) == branch_var(domains)
+            assert_held_once(buckets, domains)
+        while records:
+            changed, olds = records.pop()
+            _restore(domains, changed, olds)
+            buckets.push(domains, changed)
             states.pop()
             assert domains == states[-1]
-            assert _pick(domains, buckets, records[-1][2]) == branch_var(domains)
+            assert buckets.pick(domains) == branch_var(domains)
+            assert_held_once(buckets, domains)
 
     def test_states_recorded_from_corpus_searches(self, monkeypatch):
         # every choice the search makes, checked on the domains it was
         # made on
         calls = []
-        pick = homsolver._pick
+        pick = _Buckets.pick
 
-        def recording(domains, buckets, popped):
-            got = pick(domains, buckets, popped)
+        def recording(buckets, domains):
+            got = pick(buckets, domains)
             calls.append(got == branch_var(domains))
             return got
 
-        monkeypatch.setattr(homsolver, "_pick", recording)
+        monkeypatch.setattr(_Buckets, "pick", recording)
         for spec in random_special_trees(25)[::3]:
             tree = compile_tree(spec)
             find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
         assert len(calls) > 1000
         assert all(calls)
+
+
+def assert_held_once(buckets, domains):
+    """Each heap holds exactly the variables its marks say, each once, and
+    every open variable is in the heap of its size."""
+    assert not any(buckets.heaps[:2])
+    for size in range(2, len(buckets.heaps)):
+        heap, mark = buckets.heaps[size], buckets.held[size]
+        assert sorted(heap) == [var for var in range(len(domains)) if mark[var]]
+        assert all(mark[var] for var, d in enumerate(domains) if d.bit_count() == size)
+
+
+class TestBucketsBounded:
+    """Stale entries are dropped for good, so the heaps never outgrow
+    variables x sizes, however long the search runs."""
+
+    @staticmethod
+    def checking_picks(monkeypatch, every: int) -> dict:
+        seen = {"picks": 0, "stale": 0}
+        pick = _Buckets.pick
+
+        def checking(buckets, domains):
+            seen["picks"] += 1
+            entries = sum(map(len, buckets.heaps))
+            assert entries <= len(domains) * (len(buckets.heaps) - 2)
+            open_count = sum(d.bit_count() > 1 for d in domains)
+            seen["stale"] = max(seen["stale"], entries - open_count)
+            if seen["picks"] % every == 0:
+                assert_held_once(buckets, domains)
+            return pick(buckets, domains)
+
+        monkeypatch.setattr(_Buckets, "pick", checking)
+        return seen
+
+    def test_seeded_random_searches(self, monkeypatch):
+        # small loopless instances whose searches narrow the same variable
+        # again after backtracking, at every pick
+        seen = self.checking_picks(monkeypatch, 1)
+        rng = random.Random(5)
+        for _ in range(1000):
+            x, h = random_digraph(rng, 16, 0.2), random_digraph(rng, 6, 0.4)
+            try:
+                solve_hom(x, h, node_budget=3000)
+            except BudgetExceeded:
+                pass
+        assert seen["picks"] > 1000 and seen["stale"] > 0, seen
+
+    def test_long_siggers_search(self, monkeypatch):
+        # the Siggers search on this looped 5-vertex digraph runs through
+        # thousands of nodes on a 505-variable component
+        edges = [(v, v) for v in range(5)] + [
+            (int(a), int(b)) for a, b in "02 03 10 13 14 23 24 30 31 32 40 41 42 43".split()]
+        seen = self.checking_picks(monkeypatch, 16)
+        with pytest.raises(BudgetExceeded):
+            find_siggers(Digraph.from_edges(5, edges), node_budget=3000)
+        assert seen["picks"] > 1000 and seen["stale"] > 0, seen
 
 
 def search_outcome(search, domains, inst, budget=None):
