@@ -210,7 +210,9 @@ class PowerWalk:
     `out_mask[lo]` of each row in `out_rows[hi]`, and likewise inward.  Each
     row keeps an int mask of its visited `lo`s, so a step marks a whole
     neighbouring row by one `mask & ~visited[row]`.  `no_out` and `no_in`
-    mask the `lo`s with no out- or in-neighbour in any row.
+    mask the `lo`s with no out- or in-neighbour in any row.  Merge rules
+    come as tables on the same rows (see `visit`), so a row's merged `lo`s
+    are found by masks too.
     """
 
     __slots__ = ("split", "visited", "out_rows", "in_rows", "out_lows", "out_mask", "in_mask",
@@ -228,18 +230,26 @@ class PowerWalk:
         self.no_out, self.no_in = (sum(1 << lo for lo, m in enumerate(masks) if not m)
                                    for masks in (self.out_mask, self.in_mask))
 
-    def visit(self, starts: list[int], partners: dict[int, list[int]] | None = None,
-              budget: int | None = None) -> list[int]:
+    def visit(self, starts: list[int], merges=None, budget: int | None = None
+              ) -> tuple[list[int], dict[int, list[int]]]:
         """Mark visited every unvisited tuple weakly connected to the
-        (distinct) starts by power edges and `partners` links, and return
-        them.  Raises BudgetExceeded once that grows past `budget` tuples (or
-        past the starts, if there are more of them).
+        (distinct) starts by power edges and merge links, and return them
+        and the links followed (tuple -> partners).  Raises BudgetExceeded
+        once that grows past `budget` tuples (or past the starts, if more).
+
+        `merges` is `(linked, rules)` on this walk's split: a rule
+        `(match, base, add, offsets)` links each `lo` of `match[hi]` to
+        `base[hi] + add[lo] + off` for each `off` in `offsets`, and
+        `linked[hi]` ORs the rules' `match[hi]`, against which a popped
+        row's fresh `lo`s are tested once.
         """
         split, visited = self.split, self.visited
         out_rows, in_rows = self.out_rows, self.in_rows
         out_mask, in_mask = self.out_mask, self.in_mask
+        linked, rules = merges or (None, ())
         count, limit = 0, max(budget or 0, len(starts))
         tuples: list[int] = []
+        links: dict[int, list[int]] = {}
         pending: dict[int, int] = {}  # row -> visited lo mask not yet expanded
         steps = [(t // split, 1 << t % split) for t in starts]
         while True:
@@ -253,11 +263,23 @@ class PowerWalk:
                         if count > limit:
                             raise BudgetExceeded(f"walk exceeded budget {budget}")
             if not pending:
-                return tuples
+                return tuples, links
             row, fresh = pending.popitem()
             base = row * split
-            outs = ins = 0
             steps = []
+            if rules and fresh & linked[row]:
+                for match, bases, adds, offsets in rules:
+                    m = fresh & match[row]
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        lo = bit.bit_length() - 1
+                        p = bases[row] + adds[lo]
+                        for w in offsets:
+                            w += p
+                            links.setdefault(base + lo, []).append(w)
+                            steps.append((w // split, 1 << w % split))
+            outs = ins = 0
             while fresh:
                 bit = fresh & -fresh
                 fresh ^= bit
@@ -265,22 +287,17 @@ class PowerWalk:
                 tuples.append(base + lo)
                 outs |= out_mask[lo]
                 ins |= in_mask[lo]
-                if partners:
-                    for w in partners.get(base + lo, ()):
-                        steps.append((w // split, 1 << w % split))
             if outs:
                 steps += [(r, outs) for r in out_rows[row]]
             if ins:
                 steps += [(r, ins) for r in in_rows[row]]
 
-    def isolated(self, partners: dict[int, list[int]]) -> list[int]:
+    def isolated(self, linked: tuple[int, ...]) -> list[int]:
         """Mark visited and return, ascending, every unvisited tuple with no
-        power edge either way and no `partners` link: each is a component
-        of its own.  Works a row at a time on masks of such `lo`s."""
+        power edge either way and no merge link (`linked[hi]` masks the
+        linked `lo`s of each row): each is a component of its own.  Works a
+        row at a time on masks of such `lo`s."""
         split, visited = self.split, self.visited
-        linked = [0] * len(visited)
-        for t in partners:
-            linked[t // split] |= 1 << t % split
         full = (1 << split) - 1
         lone: list[int] = []
         for row, (outs, ins) in enumerate(zip(self.out_rows, self.in_rows)):
@@ -306,7 +323,7 @@ def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -
     walk = PowerWalk(g, n)
     diagonal = [power_index(g.vertex_count, (v,) * n) for v in range(g.vertex_count)]
     try:
-        return frozenset(walk.visit(diagonal, budget=budget))
+        return frozenset(walk.visit(diagonal, budget=budget)[0])
     except BudgetExceeded:
         raise BudgetExceeded(f"diagonal component exceeded budget {budget}") from None
 

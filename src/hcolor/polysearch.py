@@ -10,8 +10,9 @@ components are solved separately.
 
 Searches never build the whole quotient.  `find_polymorphism` grows one
 component at a time by a `digraph.PowerWalk` over the implicit power
-digraph, which follows power edges a row of tuples at a time and merge
-partners (a table of the merge rules) a tuple at a time.  The components
+digraph, which follows power edges and merge links a row of tuples at a
+time; the merge rules are tables on the walk's rows, built once per
+system and target size (`_merge_tables`).  The components
 holding pinned tuples are built first, all of them, so that inconsistent
 pins surface before any solving; they are then solved smallest first (by
 class count, then smallest tuple), and the first refuted one ends the
@@ -40,13 +41,15 @@ call, so an identical instance gets the identical answer under any node
 budget.  The memo lives for one search only, and the assembled table is
 still re-checked as a whole.
 
-`indicator` and `solve_indicator` build and solve the full quotient; they
-are the simple reference the lazy path is tested against.
+`indicator` and `solve_indicator` build and solve the full quotient from
+every merged pair (`_merge_pairs`); they are the simple reference the lazy
+path is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .algebra import (
@@ -198,6 +201,49 @@ def _merge_pairs(sys: IdentitySystem, n: int):
                        _dots(_weights(pat_b, variables, n), domains))
 
 
+@lru_cache(maxsize=4)
+def _merge_tables(sys: IdentitySystem, n: int) -> tuple[tuple[int, ...], tuple]:
+    """The merge rules as `PowerWalk.visit`'s `(linked, rules)` tables:
+    `_merge_pairs` factored at the split `t = hi * split + lo`, each rule
+    read both ways (src pattern to dst pattern).  `match[hi]` masks the
+    `lo`s whose tuple is src under a substitution (repeated symbols equal,
+    a symbol on both sides keyed by its value, ranges held); their partners
+    are `base[hi] + add[lo]` plus one offset per value of the symbols only
+    dst names.  A tuple whose one partner is itself is left out of `match`.
+    """
+    half = sys.arity // 2
+    split, rows = n ** (sys.arity - half), n ** half
+    linked, rules = [0] * rows, []
+    for pat_a, pat_b, ranges in sys.merges:
+        variables = tuple(sorted(set(pat_a) | set(pat_b)))
+        doms = dict(zip(variables, _domains(variables, ranges, n)))
+        for src, dst in ((pat_a, pat_b), (pat_b, pat_a)):
+            into = dict(zip(variables, _weights(dst, variables, n)))
+            free = [v for v in variables if v not in src]
+            offsets = _dots([into[v] for v in free], [doms[v] for v in free])
+            his, los = tuple(sorted(set(src[:half]))), tuple(sorted(set(src[half:])))
+            key = {v: n ** i for i, v in enumerate(v for v in los if v in his)}
+            hi_dom, lo_dom = [doms[v] for v in his], [doms[v] for v in los]
+            add, by_key, diffs = [0] * split, {}, {}
+            for lo, a, kv in zip(_dots(_weights(src[half:], los, n), lo_dom),
+                                 _dots([0 if v in key else into[v] for v in los], lo_dom),
+                                 _dots([key.get(v, 0) for v in los], lo_dom)):
+                add[lo] = a
+                by_key[kv] = by_key.get(kv, 0) | 1 << lo
+                diffs[a - lo] = diffs.get(a - lo, 0) | 1 << lo
+            match, base = [0] * rows, [0] * rows
+            for hi, b, kv in zip(_dots(_weights(src[:half], his, n), hi_dom),
+                                 _dots([into[v] for v in his], hi_dom),
+                                 _dots([key.get(v, 0) for v in his], hi_dom)):
+                base[hi] = b
+                match[hi] = m = by_key.get(kv, 0) if offsets else 0
+                if len(offsets) == 1 and m & (selfs := diffs.get(hi * split - b - offsets[0], 0)):
+                    match[hi] = m = m & ~selfs  # lo's paired with themselves only
+                linked[hi] |= m
+            rules.append((tuple(match), tuple(base), tuple(add), tuple(offsets)))
+    return tuple(linked), tuple(rules)
+
+
 def _pin_targets(sys: IdentitySystem, n: int):
     """(tuple index, forced value) per pin substitution, in rule order."""
     for pattern, var, ranges in sys.pins:
@@ -312,11 +358,7 @@ class _LazyIndicator:
         n = self.n = h.vertex_count
         self.total = _tuple_count(n, sys.arity, budget)
         self.sys = sys
-        self.partners: dict[int, list[int]] = {}
-        for i, j in _merge_pairs(sys, n):
-            if i != j:
-                self.partners.setdefault(i, []).append(j)
-                self.partners.setdefault(j, []).append(i)
+        self.merges = _merge_tables(sys, n)
         self.walk = PowerWalk(h, sys.arity)
         self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
         self.rel = edge_relation(h)
@@ -325,10 +367,10 @@ class _LazyIndicator:
     def close(self, start: int) -> _Component:
         """The unvisited component of `start`, over power edges both ways and
         merges, with unrestricted domains."""
-        partners, walk = self.partners, self.walk
+        tuples, partners = self.walk.visit([start], self.merges)
         class_of: dict[int, int] = {}
         heads: list[int] = []
-        for t in sorted(walk.visit([start], partners)):
+        for t in sorted(tuples):
             if t in class_of:
                 continue
             c = class_of[t] = len(heads)
@@ -367,7 +409,7 @@ class _LazyIndicator:
 
     def remaining_components(self) -> list[_Component]:
         """Every unvisited component, the lone tuples as one group."""
-        lone = self.walk.isolated(self.partners)
+        lone = self.walk.isolated(self.merges[0])
         comps = [_Component({lone[0]: 0}, lone[:1], [(1 << self.n) - 1], lone)] if lone else []
         visited, split = self.walk.visited, self.walk.split
         full = (1 << split) - 1

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hcolor.algebra import (
     is_tsi,
     is_wnu,
 )
+from hcolor.classify import compute_core
 from hcolor.digraph import Digraph, connected_components
 from hcolor.errors import BudgetExceeded, InconsistentPins
 from hcolor.minpath import OrientedPath
@@ -153,6 +155,7 @@ class TestFindTsi:
 
     def test_budget_checked_before_enumerating_tuples(self, monkeypatch):
         monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
+        monkeypatch.setattr(polysearch, "_merge_tables", None)
         with pytest.raises(BudgetExceeded):
             find_tsi(TRIANGLE, 4, budget=80)
 
@@ -417,10 +420,30 @@ class TestLazyMatchesFullIndicator:
 
     def test_tuple_budget_before_any_work(self, monkeypatch):
         monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
+        monkeypatch.setattr(polysearch, "_merge_tables", None)
         with pytest.raises(BudgetExceeded):
             find_polymorphism(TRIANGLE, siggers_system(), budget=80)
         monkeypatch.undo()
         assert outcome(find_polymorphism, TRIANGLE, siggers_system(), budget=81) is None
+
+    def test_searches_never_enumerate_merge_pairs(self, monkeypatch):
+        # the lazy path reads the merge tables; only the full indicator
+        # enumerates the pairs
+        tree = compile_tree(random_special_trees(1)[0])
+        h = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        searches = [(find_wnu, h, 2), (find_wnu, TRIANGLE, 3), (find_majority, h),
+                    (find_siggers, h), (find_siggers, EDGE), (find_tsi, h, 3),
+                    (find_wnu_on_top_bottom, tree.digraph, 3, tree.a_vertices,
+                     tree.b_vertices)]
+        want = [outcome(*search) for search in searches]
+
+        def no_pairs(*args):
+            raise AssertionError("merge pairs were enumerated")
+
+        monkeypatch.setattr(polysearch, "_merge_pairs", no_pairs)
+        polysearch._merge_tables.cache_clear()
+        assert [outcome(*search) for search in searches] == want
+        assert None in want and any(w is not None for w in want)
 
     def test_triad_refutation_explores_pinned_component_only(self, monkeypatch):
         solved = []
@@ -434,6 +457,119 @@ class TestLazyMatchesFullIndicator:
         assert find_siggers(compile_tree(canned_triad()).digraph) is None
         # the pinned component has 33,843 of the 2,254,161 classes
         assert 0 < sum(solved) <= 40_000
+
+
+def table_links(sys_, n):
+    """The tables' `linked` rows, their split, and per table rule its
+    matched tuples and its (tuple, partner) links."""
+    linked, rules = polysearch._merge_tables(sys_, n)
+    k = sys_.arity
+    split, rows = n ** (k - k // 2), n ** (k // 2)
+    assert len(linked) == rows
+    per_rule = []
+    for match, base, add, offsets in rules:
+        assert len(match) == len(base) == rows and len(add) == split
+        matched = {hi * split + lo for hi in range(rows) for lo in range(split)
+                   if match[hi] >> lo & 1}
+        links = [(t, base[t // split] + add[t % split] + off)
+                 for t in sorted(matched) for off in offsets]
+        per_rule.append((matched, links))
+    return linked, split, per_rule
+
+
+def random_merge_system(rng, n: int) -> IdentitySystem:
+    """Arity 1 to 4, some symbols ranged (possibly to one value or none),
+    and the two patterns of a rule free to name different symbols."""
+    k = rng.randint(1, 4)
+    merges = []
+    for _ in range(rng.randint(1, 3)):
+        src = tuple(rng.choice("abc") for _ in range(k))
+        dst = tuple(rng.choice("abcd") for _ in range(k))
+        ranges = tuple((v, tuple(sorted(rng.sample(range(n), rng.randint(0, n)))))
+                       for v in sorted(set(src) | set(dst)) if rng.random() < 0.4)
+        merges.append((src, dst, ranges))
+    return IdentitySystem(k, tuple(merges))
+
+
+class TestMergeTables:
+    """The lazy walk's merge tables against the pairs `_merge_pairs` lists,
+    taken both ways with self-pairs dropped."""
+
+    def check(self, sys_, n):
+        want = sorted((i, j) for a, b in polysearch._merge_pairs(sys_, n)
+                      for i, j in ((a, b), (b, a)) if i != j)
+        linked, split, per_rule = table_links(sys_, n)
+        got = sorted((t, w) for _, links in per_rule for t, w in links if t != w)
+        assert got == want, (sys_, n)
+        # a rule matches exactly the tuples it links to another tuple
+        for matched, links in per_rule:
+            assert matched == {t for t, w in links if t != w}, (sys_, n)
+        rows = [0] * len(linked)
+        for t, _ in want:
+            rows[t // split] |= 1 << t % split
+        assert list(linked) == rows, (sys_, n)
+
+    NAMED = {**{f"wnu{k}": wnu_system(k) for k in range(1, 5)},
+             "majority": majority_system(), "siggers": siggers_system(),
+             **{f"tsi{k}": tsi_system(k) for k in range(1, 5)}}
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_systems(self, name):
+        for n in range(6):
+            self.check(self.NAMED[name], n)
+
+    def test_wnu_on_random_sets(self):
+        rng = random.Random(5)
+        for n, k in product(range(6), (2, 3, 4)):
+            sets = [tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(2)]
+            self.check(wnu_on_sets_system(k, sets), n)
+
+    def test_random_systems(self):
+        rng = random.Random(11)
+        for n in range(6):
+            for _ in range(40):
+                self.check(random_merge_system(rng, n), n)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestMergeTableMemory:
+    def test_triad_siggers_peak_until_the_search(self, monkeypatch):
+        # the triad's Siggers refutation searches one 33,843-class pinned
+        # component; a partner list per merged tuple held 18.4 MB of the
+        # 28.8 MB traced when that search started.  Tracing the search
+        # itself as well takes about 15 times its 0.7 s, so the solver is
+        # stopped at its first call.
+        core = compute_core(compile_tree(canned_triad()).digraph).core
+        n = core.vertex_count
+        starts = []
+
+        def stop(inst, node_budget=None):
+            starts.append(inst.variable_count)
+            raise _Stop
+
+        monkeypatch.setattr(polysearch, "solve_instance", stop)
+        polysearch._merge_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                find_siggers(core)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts == [33_843]
+        assert peak < 20_000_000, peak
+        # a rule reading costs a row entry (mask and base) per row and an
+        # addend per lo, not an entry per merged pair (59,319 here)
+        linked, rules = polysearch._merge_tables(siggers_system(), n)
+        rows = split = n ** 2
+        assert len(linked) == rows and len(rules) == 2 * len(siggers_system().merges)
+        assert sum(len(match) + len(add) for match, _, add, _ in rules) <= \
+            len(rules) * (rows + split)
+        assert all(len(base) == len(match) and len(offsets) == 1
+                   for match, base, _, offsets in rules)
 
 
 def top_bottom_system(tree):
