@@ -617,31 +617,26 @@ def _point_pair(tree: SpecialTree, anchor: int, c_list: list[int],
     the strictly smaller term set of (x * (x*y), y * (x*y)) and the smaller
     instance is composed on top.
     """
-    values, _ = s_set(x, y, star)
-    if x in values or y in values:
-        z = x if x in values else y
-        gamma, terms = _commutative_gamma(
-            c_list, star, {(x, y): z, (y, x): z} if x != y else {})
+    def certify(overrides: dict, witness: int, targets: set[int]) -> WeakPointingCertificate:
+        gamma, terms = _commutative_gamma(c_list, star, overrides)
         tau = extend_binary(tree, anchor, frozenset(c_list), gamma, star, terms)
         cert = WeakPointingCertificate(
-            tau, frozenset({x, y}), frozenset({z}),
-            ((z, z), (z, z)), {u: tau(u, z) for u in c_list})
+            tau, frozenset({x, y}), frozenset(targets),
+            ((witness, witness), (witness, witness)), {u: tau(u, witness) for u in c_list})
         if not verify_weak_pointing(cert):
             raise ConstructionStuck("pair certificate failed verification")
         return cert
+
+    values, _ = s_set(x, y, star)
+    if x in values or y in values:
+        z = x if x in values else y
+        return certify({(x, y): z, (y, x): z} if x != y else {}, z, {z})
     c = star(x, y)
     xp, yp = star(x, c), star(y, c)
     smaller, _ = s_set(xp, yp, star)
     if not (smaller | {xp, yp}) < (values | {x, y}):
         raise ConstructionStuck("pair recursion measure did not shrink")
-    gamma, terms = _commutative_gamma(
-        c_list, star, {(x, c): xp, (c, x): xp, (y, c): yp, (c, y): yp})
-    tau = extend_binary(tree, anchor, frozenset(c_list), gamma, star, terms)
-    first = WeakPointingCertificate(
-        tau, frozenset({x, y}), frozenset({xp, yp}),
-        ((c, c), (c, c)), {u: tau(u, c) for u in c_list})
-    if not verify_weak_pointing(first):
-        raise ConstructionStuck("pair certificate failed verification")
+    first = certify({(x, c): xp, (c, x): xp, (y, c): yp, (c, y): yp}, c, {xp, yp})
     rest = _point_pair(tree, anchor, c_list, star, xp, yp, arity_budget)
     if first.op.arity * rest.op.arity > arity_budget:
         raise ArityBudgetExceeded("composed pair certificate exceeds arity budget")
@@ -819,7 +814,8 @@ def _wnu_extension_values(tree: SpecialTree, tau: OperationTable,
 
 
 def extend_wnu(tree: SpecialTree, tau: OperationTable,
-               power_budget: int = DEFAULT_POLY_BUDGET) -> OperationTable:
+               power_budget: int = DEFAULT_POLY_BUDGET,
+               delta: frozenset[int] | None = None) -> OperationTable:
     """Turn a polymorphism that is a WNU on the top and bottom levels into a
     WNU on the whole tree.
 
@@ -831,13 +827,9 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
     The least-vertex order ranks attached paths by template edge index and
     breaks ties toward the bottom endpoint.  The table is built by one
     index walk over the power (`_wnu_extension_values`) and re-checked.
+    `delta` is the diagonal component of the n-th power when the caller
+    already has it (None: computed here).
     """
-    return _extend_wnu(tree, tau, power_budget, None)
-
-
-def _extend_wnu(tree: SpecialTree, tau: OperationTable, power_budget: int,
-                delta: frozenset[int] | None) -> OperationTable:
-    """`extend_wnu` reusing the caller's diagonal component (None: compute it)."""
     n = tau.arity
     h = tree.digraph
     size = h.vertex_count

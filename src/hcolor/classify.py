@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .algebra import (
-    _extend_wnu,
     comparable_pair_failure,
     eval_term,
+    extend_wnu,
     find_singleton_absorber,
     is_polymorphism,
     make_special,
@@ -316,8 +316,9 @@ def _check_sset_identities(tree: SpecialTree, star) -> str:
 
 
 def _check_star_collapse_below(tree: SpecialTree, o: int, star) -> str:
-    """On each side, the lower element of a comparable pair swallows the
-    upper under star from both sides' folds of the comparable-pair collapse."""
+    """On each side (A, then B), a * a' = a for every comparable pair
+    a <= a' (a on the tree path from o to a', see `spectree.preceq`); fails
+    at the first pair that does not collapse."""
     failure = comparable_pair_failure(tree, o, star)
     if failure is None:
         return "pass"
@@ -401,7 +402,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
 
     try:
         # extend_wnu re-checks its table, so a returned one passes
-        full_wnu = _extend_wnu(tree, tau, power_budget, deltas[3])
+        full_wnu = extend_wnu(tree, tau, power_budget, deltas[3])
         report["wnu_extension"] = "pass"
     except (ConstructionStuck, BudgetExceeded) as exc:
         report["wnu_extension"] = f"fail: {exc}"

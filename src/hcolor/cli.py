@@ -99,9 +99,12 @@ def _parse_pins(items) -> dict[int, int]:
     for item in items or []:
         var, _, val = item.partition("=")
         try:
-            pins[int(var)] = int(val)
+            var, val = int(var), int(val)
         except ValueError:
             raise HcolorError(f"bad pin {item!r}, expected VAR=VAL") from None
+        if var in pins:
+            raise HcolorError(f"bad pin {item!r}: variable {var} pinned twice")
+        pins[var] = val
     return pins
 
 
@@ -186,8 +189,6 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "lemmas":
-        raise HcolorError(f"unknown suite {args.suite!r}")
     spec = read_stree(args.tree)
     report = verify_lemma_suite(
         spec, args.seed, args.budget_indicator, args.budget_nodes, args.budget_power)
@@ -198,8 +199,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = gen_random_special_tree(
-        args.seed, args.a, args.b, args.height, args.max_path_len)
+    spec = gen_random_special_tree(args.seed, args.a, args.b, args.height,
+                                   _given_or(args.max_path_len, args.height + 4))
     if args.out:
         write_stree(args.out, spec)
         print(f"wrote {args.out}")
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run instance checks on a tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--suite", default="lemmas")
+    p.add_argument("--suite", choices=["lemmas"], default="lemmas")
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--json", default=None)
     budgets(p, "nodes", "indicator", "power")
@@ -310,17 +311,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else 0
-    if getattr(args, "max_path_len", None) is None and args.command == "gen":
-        args.max_path_len = args.height + 4
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except HcolorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (HcolorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -349,6 +349,8 @@ def parse_dg(text: str) -> Digraph:
         n, m = int(head[1]), int(head[2])
     except ValueError as exc:
         raise InvalidFormat(f"bad header numbers: {lines[0]!r}") from exc
+    if n < 0:
+        raise InvalidFormat(f"negative vertex count: {lines[0]!r}")
     body = lines[1:]
     if len(body) != m:
         raise InvalidFormat(f"expected {m} edge lines, found {len(body)}")

@@ -31,6 +31,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _union(rows: tuple[int, ...], mask: int) -> int:
+    """The union of rows[a] over the values a in mask: the image of mask
+    under `Relation.fwd`, or its preimage under `Relation.rev`."""
+    out = 0
+    for a in _bits(mask):
+        out |= rows[a]
+    return out
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation over 0..size-1 stored as per-value bitmasks."""
@@ -48,18 +57,6 @@ class Relation:
     def images(self) -> dict[int, int]:
         """Memo: mask -> values with a predecessor in mask (see `_ac_fixpoint`)."""
         return {}
-
-    def preimage(self, mask: int) -> int:
-        out = 0
-        for b in _bits(mask):
-            out |= self.rev[b]
-        return out
-
-    def image(self, mask: int) -> int:
-        out = 0
-        for a in _bits(mask):
-            out |= self.fwd[a]
-        return out
 
     @cached_property
     def diagonal(self) -> int:
@@ -153,7 +150,7 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     else:
         changed, olds = trail
         queue = deque(changed)
-    sides = ((succs, rel.images, rel.image), (preds, rel.preimages, rel.preimage))
+    sides = ((succs, rel.images, rel.fwd), (preds, rel.preimages, rel.rev))
     # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped
     state = bytearray(len(domains))
     for x in queue:
@@ -162,13 +159,13 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
         x = queue.popleft()
         state[x] = 2
         dx = domains[x]
-        for side, memo, close in sides:
+        for side, memo, rows in sides:
             nbrs = side[x]
             if not nbrs:
                 continue
             support = memo.get(dx)
             if support is None:
-                support = memo[dx] = close(dx)
+                support = memo[dx] = _union(rows, dx)
             for y in nbrs:
                 dy = domains[y]
                 if dy & ~support:

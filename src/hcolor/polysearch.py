@@ -41,9 +41,11 @@ call, so an identical instance gets the identical answer under any node
 budget.  The memo lives for one search only, and the assembled table is
 still re-checked as a whole.
 
-`indicator` and `solve_indicator` build and solve the full quotient from
-every merged pair (`_merge_pairs`); they are the simple reference the lazy
-path is tested against.
+`indicator` and `solve_indicator` are the simple reference the lazy path is
+tested against.  They build the full quotient, its classes the connected
+components of every merged pair (`_merge_pairs`) and its constraints one
+per k-tuple of target edges, and solve each component of it.  They share
+no walk with the lazy path.
 """
 
 from __future__ import annotations
@@ -135,29 +137,6 @@ def tsi_system(k: int) -> IdentitySystem:
         merges.append(((vs[0], vs[0]) + vs[2:], (vs[0], vs[2]) + vs[2:], ()))
     pins = ((("x",) * k, "x", ()),)
     return IdentitySystem(k, tuple(merges), pins)
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 @dataclass(frozen=True)
@@ -263,36 +242,30 @@ def _tuple_count(n: int, k: int, budget: int) -> int:
 def indicator(h: Digraph, sys: IdentitySystem,
               budget: int = DEFAULT_INDICATOR_BUDGET) -> Indicator:
     """The homomorphism instance whose solutions are exactly the operations
-    satisfying the identity system."""
+    satisfying the identity system.
+
+    Its classes are the components of the merge pairs, numbered by smallest
+    tuple; its constraints come from every k-tuple of target edges.
+    """
     n = h.vertex_count
     k = sys.arity
     total = _tuple_count(n, k, budget)
-    uf = _UnionFind(total)
-    for i, j in _merge_pairs(sys, n):
-        uf.union(i, j)
+    classes = connected_components(Digraph.from_edges(total, _merge_pairs(sys, n)))
+    class_of = [0] * total
+    for c, part in enumerate(classes):
+        for t in part:
+            class_of[t] = c
 
+    domains = [(1 << n) - 1] * len(classes)
     pinned: dict[int, int] = {}
     for t, val in _pin_targets(sys, n):
-        root = uf.find(t)
-        if pinned.setdefault(root, val) != val:
+        c = class_of[t]
+        if pinned.setdefault(c, val) != val:
             raise InconsistentPins(
-                f"class of tuple {root} pinned to both {pinned[root]} and {val}")
+                f"class of tuple {min(classes[c])} pinned to both {pinned[c]} and {val}")
+        domains[c] = 1 << val
 
-    class_of = [0] * total
-    class_ids: dict[int, int] = {}
-    for i in range(total):
-        root = uf.find(i)
-        if root not in class_ids:
-            class_ids[root] = len(class_ids)
-        class_of[i] = class_ids[root]
-    nvars = len(class_ids)
-
-    full = (1 << n) - 1
-    domains = [full] * nvars
-    for root, val in pinned.items():
-        domains[class_ids[root]] = 1 << val
-
-    succ: list[set[int]] = [set() for _ in range(nvars)]
+    succ: list[set[int]] = [set() for _ in classes]
     for combo in product(h.edges_sorted, repeat=k) if h.edges else ():
         tail = 0
         head = 0
@@ -441,27 +414,20 @@ class _LazyIndicator:
         return found
 
 
-def _solve_in_order(lazy: _LazyIndicator, comps: list[_Component],
-                    node_budget: int | None, solved: list) -> bool:
-    """Solve smallest first, appending (component, assignment) to `solved`;
-    False at the first refuted component."""
-    for comp in sorted(comps, key=_Component.order):
-        found = lazy.solve(comp, node_budget)
-        if found is None:
-            return False
-        solved.append((comp, found))
-    return True
-
-
 def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
                   node_budget: int | None) -> tuple[int, ...] | None:
-    """The table values `solve_indicator(indicator(h, sys))` gives, or None."""
+    """The table values `solve_indicator(indicator(h, sys))` gives, or None:
+    the pinned components smallest first, then the rest smallest first,
+    stopping at the first refuted one."""
     lazy = _LazyIndicator(h, sys, budget)
     solved: list[tuple[_Component, tuple[int, ...]]] = []
-    if not (_solve_in_order(lazy, lazy.pinned_components(), node_budget, solved)
-            and _solve_in_order(lazy, lazy.remaining_components(), node_budget, solved)):
-        return None
-    values = [0] * lazy.total
+    for components in (lazy.pinned_components, lazy.remaining_components):
+        for comp in sorted(components(), key=_Component.order):
+            found = lazy.solve(comp, node_budget)
+            if found is None:
+                return None
+            solved.append((comp, found))
+    values = [0] * lazy.total  # after solving, so a refuted search never allocates it
     for comp, found in solved:
         for t, c in comp.class_of.items():
             values[t] = found[c]

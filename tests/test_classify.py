@@ -15,7 +15,7 @@ from hcolor.classify import (
     verify_lemma_suite,
 )
 from hcolor.algebra import table_from_function
-from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph
+from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
 from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
@@ -211,6 +211,20 @@ class TestLemmaSuite:
             (1, 0, OrientedPath("11")),
         ))
         assert verify_lemma_suite(spec, seed=3) == verify_lemma_suite(spec, seed=3)
+
+    def test_suite_extends_through_public_extend_wnu(self, monkeypatch):
+        # one extend_wnu, handed the diagonal component the suite computed
+        deltas = []
+        real = classify.extend_wnu
+
+        def counting(tree, tau, power_budget, delta=None):
+            deltas.append(delta)
+            return real(tree, tau, power_budget, delta)
+
+        monkeypatch.setattr(classify, "extend_wnu", counting)
+        spec = SpecialTreeSpec(1, 1, 1, ((0, 0, OrientedPath("1")),))
+        assert verify_lemma_suite(spec, seed=1)["wnu_extension"] == "pass"
+        assert deltas == [diagonal_component(compile_tree(spec).digraph, 3)]
 
     def test_power_budget_default_matches_cli(self):
         # the library and `hcolor verify` give one report for one tree only

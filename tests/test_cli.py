@@ -68,6 +68,12 @@ class TestSolve:
                      "--pin", pin]) == 2
         assert "bad pin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, second", [("0=0", "0=1"), ("0=1", "0=0"), ("0=0", "0=0")])
+    def test_pin_twice(self, edge_file, first, second, capsys):
+        assert main(["solve", "--input", edge_file, "--target", edge_file,
+                     "--pin", first, "--pin", second]) == 2
+        assert "bad pin" in capsys.readouterr().err
+
     def test_missing_file(self, edge_file):
         assert main(["solve", "--input", "/nonexistent.dg",
                      "--target", edge_file]) == 2
@@ -201,6 +207,12 @@ class TestGen:
         assert main(["gen", "--seed", "1", "--a", "0", "--b", "1",
                      "--height", "1"]) == 2
 
+    def test_max_path_len_defaults_to_height_plus_four(self, tmp_path):
+        args = ["gen", "--seed", "5", "--a", "3", "--b", "2", "--height", "3", "--out"]
+        main(args + [str(tmp_path / "default.stree")])
+        main(args + [str(tmp_path / "given.stree"), "--max-path-len", "7"])
+        assert (tmp_path / "default.stree").read_bytes() == (tmp_path / "given.stree").read_bytes()
+
 
 class TestConvert:
     def test_path_literal(self, tmp_path, capsys):
@@ -268,6 +280,17 @@ class TestUsage:
         # solve reads no power budget, so it does not accept one
         assert main(["solve", "--input", edge_file, "--target", edge_file,
                      "--budget-power", "5"]) == 2
+
+    @pytest.mark.parametrize("command, flag, name, text", [
+        ("core", "--input", "g.dg", b"digraph 2 1\n0 1 \xc3\xa9\n"),
+        ("classify", "--tree", "t.stree", b"stree 1 1 1 1\n0 0 1\xff\n"),
+        ("core", "--input", "g.dg", b"digraph -1 0\n"),
+    ])
+    def test_bad_input_file_is_input_error(self, tmp_path, command, flag, name, text, capsys):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main([command, flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_solve_node_budget_exit(self, tmp_path):
         h = tmp_path / "h.dg"

@@ -195,3 +195,5 @@ class TestDgFormat:
             parse_dg("digraph 2 2\n0 1\n0 1\n")  # duplicate edge
         with pytest.raises(InvalidFormat):
             parse_dg("digraph 2 1\n0 5\n")  # out of range
+        with pytest.raises(InvalidFormat):
+            parse_dg("digraph -1 0\n")  # negative vertex count

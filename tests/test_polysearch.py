@@ -86,6 +86,19 @@ class TestIndicator:
         with pytest.raises(InconsistentPins):
             indicator(EDGE, sys)
 
+    def test_inconsistent_pins_name_the_smallest_tuple(self):
+        # (1, 0) = tuple 2 is pinned first, but its class {1, 2} is named by 1
+        only = (("x", (0,)), ("y", (1,)))
+        sys_ = IdentitySystem(2, ((("x", "y"), ("y", "x"), ()),), (
+            (("y", "x"), "x", only),
+            (("x", "y"), "y", only),
+        ))
+        message = "class of tuple 1 pinned to both 0 and 1"
+        with pytest.raises(InconsistentPins, match=message):
+            indicator(EDGE, sys_)
+        with pytest.raises(InconsistentPins, match=message):
+            find_polymorphism(EDGE, sys_)
+
     def test_wnu3_class_count_on_two_vertices(self):
         ind = indicator(EDGE, wnu_system(3))
         assert ind.instance.variable_count == 4  # two diagonals + two merged orbits
@@ -161,16 +174,12 @@ class TestFindTsi:
 
     def test_pattern_merges_join_exactly_equal_argument_sets(self):
         for k, n in product(range(1, 5), range(1, 5)):
-            uf = polysearch._UnionFind(n ** k)
-            for i, j in polysearch._merge_pairs(tsi_system(k), n):
-                uf.union(i, j)
-            classes: dict[int, set[int]] = {}
+            merged = Digraph.from_edges(n ** k, polysearch._merge_pairs(tsi_system(k), n))
             by_set: dict[frozenset[int], set[int]] = {}
             for idx, tup in enumerate(product(range(n), repeat=k)):
-                classes.setdefault(uf.find(idx), set()).add(idx)
                 by_set.setdefault(frozenset(tup), set()).add(idx)
-            assert sorted(map(sorted, classes.values())) == sorted(map(sorted, by_set.values())), \
-                (k, n)
+            classes = connected_components(merged)
+            assert sorted(map(sorted, classes)) == sorted(map(sorted, by_set.values())), (k, n)
 
     def test_triangle_binary_none(self):
         assert find_tsi(TRIANGLE, 2) is None
