@@ -5,12 +5,17 @@ binary relation (the target's edge relation) and gives its constraints as
 successor lists: each v in succ[u] asks for (value of u, value of v) in
 that relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's neighbours through the relation's memoized images and
-preimages.  Everything is deterministic: fixed variable order (smallest
-domain, lowest index) and ascending value order.  The search works on one
-domain list in place: each frame records the old domains of the variables
-its node changed and restores them on backtracking, and the branching
-variable comes from one lazy min-heap of variables per domain size, which
-holds each variable at most once.
+preimages.  A full call queues first the variables whose domain is not
+every value (pins and self-loop filtering), runs until that wave dies out,
+and then queues, in index order, every variable it never reached; a search
+node's call queues only the variables the node changed.  The closure is
+unique, so the order changes the work, never the domains.  Everything is
+deterministic: fixed variable order (smallest domain, lowest index) and
+ascending value order.  The search works on one domain list in place: each
+frame records the old domains of the variables its node changed and
+restores them on backtracking, and the branching variable comes from one
+lazy min-heap of variables per domain size, which holds each variable at
+most once.
 """
 
 from __future__ import annotations
@@ -19,9 +24,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import compress
 
 from .digraph import Digraph
 from .errors import BudgetExceeded, InvalidPin, VerificationFailed
+
+
+# maps `_ac_fixpoint`'s state 3 (not reached by the first wave) to 1, others to 0
+_UNREACHED = bytes(s == 3 for s in range(256))
 
 
 def _bits(mask: int):
@@ -130,14 +140,25 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     A popped variable x filters each successor to the image of its domain
     and each predecessor to the preimage, both looked up in the relation's
     memos (searches revisit few distinct domain masks, so the memos stay
-    small); a variable whose domain shrinks is queued again.  A search node
-    passes its `trail`: the variables it changed and their old domains.
-    Only those variables seed the queue (the rest are assumed already
-    consistent), and the first narrowing of every other variable appends
-    it and its old domain to the trail.
+    small); a variable whose domain shrinks is queued again.
+
+    A full call (no `trail`) first queues, in index order, the variables
+    whose domain is not every value: pins, and variables the self-loop
+    filter narrowed.  When that wave has emptied the queue, it queues once,
+    in index order, every variable the wave never reached, and runs the
+    queue out again.  So a full-domain variable is not popped before the
+    narrowing reaches it (the triad's Siggers component takes 58,899 pops,
+    against 132,008 from plain index order).  With no variable narrowed,
+    or every one, the order is plain index order.
+
+    A search node passes its `trail`: the variables it changed and their
+    old domains.  Only those variables seed the queue (the rest are
+    assumed already consistent), and the first narrowing of every other
+    variable appends it and its old domain to the trail.
     """
     rel = inst.relation
     succs, preds, loops = inst.adjacency
+    n = len(domains)
     if trail is None:
         # self-loops reduce to a unary filter, applied once here;
         # incremental calls start from an already filtered state
@@ -145,42 +166,55 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
             domains[u] &= rel.diagonal
             if not domains[u]:
                 return False
-        changed, olds = [], []  # every variable is seeded, none recorded
-        queue = deque(range(len(domains)))
+        changed, olds = [], []  # no state is 0, so nothing is recorded
+        full = (1 << rel.size) - 1
+        sweep_left = 0 < domains.count(full) < n  # else one pass in index order
+        if sweep_left:
+            queue = deque(compress(range(n), map(full.__ne__, domains)))
+            state = bytearray(b"\x03" * n)
+        else:
+            queue = deque(range(n))
+            state = bytearray(n)
     else:
         changed, olds = trail
         queue = deque(changed)
+        state = bytearray(n)
+        sweep_left = False
+    # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped,
+    # 3: not reached yet by a full call's first wave (never recorded)
     sides = ((succs, rel.images, rel.fwd), (preds, rel.preimages, rel.rev))
-    # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped
-    state = bytearray(len(domains))
-    for x in queue:
-        state[x] = 1
-    while queue:
-        x = queue.popleft()
-        state[x] = 2
-        dx = domains[x]
-        for side, memo, rows in sides:
-            nbrs = side[x]
-            if not nbrs:
-                continue
-            support = memo.get(dx)
-            if support is None:
-                support = memo[dx] = _union(rows, dx)
-            for y in nbrs:
-                dy = domains[y]
-                if dy & ~support:
-                    narrowed = dy & support
-                    if not narrowed:
-                        return False
-                    domains[y] = narrowed
-                    seen = state[y]
-                    if seen != 1:
-                        if not seen:
-                            changed.append(y)
-                            olds.append(dy)
-                        state[y] = 1
-                        queue.append(y)
-    return True
+    while True:
+        for x in queue:
+            state[x] = 1
+        while queue:
+            x = queue.popleft()
+            state[x] = 2
+            dx = domains[x]
+            for side, memo, rows in sides:
+                nbrs = side[x]
+                if not nbrs:
+                    continue
+                support = memo.get(dx)
+                if support is None:
+                    support = memo[dx] = _union(rows, dx)
+                for y in nbrs:
+                    dy = domains[y]
+                    if dy & ~support:
+                        narrowed = dy & support
+                        if not narrowed:
+                            return False
+                        domains[y] = narrowed
+                        seen = state[y]
+                        if seen != 1:
+                            if not seen:
+                                changed.append(y)
+                                olds.append(dy)
+                            state[y] = 1
+                            queue.append(y)
+        if not sweep_left:
+            return True
+        sweep_left = False
+        queue.extend(compress(range(n), state.translate(_UNREACHED)))
 
 
 def arc_consistency(inst: CspInstance) -> CspInstance | None:

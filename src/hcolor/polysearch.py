@@ -56,6 +56,8 @@ from itertools import product
 
 from .algebra import (
     OperationTable,
+    _wnu_on,
+    is_idempotent,
     is_majority,
     is_polymorphism,
     is_siggers,
@@ -466,9 +468,15 @@ def find_wnu(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
 def find_wnu_on_top_bottom(h: Digraph, k: int, a_set, b_set,
                            budget: int = DEFAULT_INDICATOR_BUDGET,
                            node_budget: int | None = None) -> OperationTable | None:
-    """An idempotent polymorphism that restricts to WNUs on both given sets."""
-    sys = wnu_on_sets_system(k, [tuple(sorted(a_set)), tuple(sorted(b_set))])
-    return find_polymorphism(h, sys, None, budget, node_budget)
+    """A verified idempotent polymorphism that restricts to WNUs on both
+    given sets, or None (exhaustive)."""
+    sets = [tuple(sorted(a_set)), tuple(sorted(b_set))]
+
+    def is_wnu_on_top_bottom(table: OperationTable) -> bool:
+        return is_idempotent(table) and all(_wnu_on(table, vals) for vals in sets)
+
+    return find_polymorphism(h, wnu_on_sets_system(k, sets), is_wnu_on_top_bottom,
+                             budget, node_budget)
 
 
 def find_majority(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,

@@ -5,20 +5,24 @@ the solver, and `branch_var` picks the solver's branching variable by
 scanning every domain.  `search` is the backtracking search as it was
 before it worked in place: every node copies the domain list, and a frame
 keeps its open variables for `open_branch_var` to pick among.
-`power_tuple` and `net_length` invert `power_index` and measure a path.
+`fifo_fixpoint` is a full arc-consistency call as it was before its
+queue was seeded from the narrowed variables: every variable queued in
+index order.  `power_tuple` and `net_length` invert `power_index` and
+measure a path.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
 these tables by index arithmetic.
 """
 
 import sys
+from collections import deque
 from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
 from hcolor.digraph import Digraph, power_index
 from hcolor.errors import BudgetExceeded, ConstructionStuck
-from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter
+from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union
 from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -97,6 +101,37 @@ def search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list
         if not advanced:
             stack.pop()
     return None
+
+
+def fifo_fixpoint(domains: list[int], inst: CspInstance) -> bool:
+    """Arc consistency in place from every variable, queued in index order
+    after the self-loop filter; False when a domain empties."""
+    rel = inst.relation
+    succs, preds, loops = inst.adjacency
+    for u in loops:
+        domains[u] &= rel.diagonal
+        if not domains[u]:
+            return False
+    queue = deque(range(len(domains)))
+    queued = [True] * len(domains)
+    supports: dict[tuple[bool, int], int] = {}  # (forward, domain) -> support
+    while queue:
+        x = queue.popleft()
+        queued[x] = False
+        for nbrs, forward in ((succs[x], True), (preds[x], False)):
+            key = (forward, domains[x])
+            if key not in supports:
+                supports[key] = _union(rel.fwd if forward else rel.rev, domains[x])
+            for y in nbrs:
+                narrowed = domains[y] & supports[key]
+                if narrowed != domains[y]:
+                    if not narrowed:
+                        return False
+                    domains[y] = narrowed
+                    if not queued[y]:
+                        queued[y] = True
+                        queue.append(y)
+    return True
 
 
 def power_tuple(base: int, n: int, idx: int) -> tuple[int, ...]:

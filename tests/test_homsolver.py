@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from corpus import loopless_digraphs_up_to_iso, random_special_trees
-from hcolor import homsolver
+from hcolor import homsolver, polysearch
+from hcolor.classify import compute_core
 from hcolor.digraph import Digraph
 from hcolor.errors import BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
@@ -23,7 +24,7 @@ from hcolor.homsolver import (
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import find_majority, find_siggers, find_wnu, find_wnu_on_top_bottom
 from hcolor.spectree import canned_triad, compile_tree
-from reference import branch_var, enumerate_homs, open_branch_var
+from reference import branch_var, enumerate_homs, fifo_fixpoint, open_branch_var
 from reference import search as reference_search
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
@@ -180,6 +181,120 @@ class TestFixpointAgainstReference:
                     assert domains == scratch
                 hits["incremental"] += 1
         assert all(hits.values()), hits
+
+
+class _PopLog(tuple):
+    """Successor lists that log each variable whose list is read: once per
+    pop in `_ac_fixpoint` and in `fifo_fixpoint`."""
+
+    def __getitem__(self, x):
+        self.log.append(x)
+        return tuple.__getitem__(self, x)
+
+
+def logging_pops(inst: CspInstance) -> tuple[CspInstance, list[int]]:
+    """A copy of inst whose cached adjacency logs the variable of each pop."""
+    succs, preds, loops = inst.adjacency
+    logged = _PopLog(succs)
+    logged.log = []
+    copy = CspInstance(inst.domains, inst.relation, inst.succ)
+    copy.__dict__["adjacency"] = (logged, preds, loops)
+    return copy, logged.log
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestSeededFixpoint:
+    """Full calls, seeded from the narrowed variables, against
+    `fifo_fixpoint`, which queues every variable in index order: the same
+    domains, or a wipeout on both."""
+
+    @staticmethod
+    def same_fixpoint(domains: list[int], inst: CspInstance) -> bool:
+        want = list(domains)
+        consistent = _ac_fixpoint(domains, inst)
+        assert consistent == fifo_fixpoint(want, inst)
+        assert not consistent or domains == want
+        return consistent
+
+    @pytest.fixture(scope="class")
+    def triad_siggers(self):
+        """The triad's pinned Siggers component as the solver gets it."""
+        core = compute_core(compile_tree(canned_triad()).digraph).core
+        got = []
+
+        def stop(inst, node_budget=None):
+            got.append(inst)
+            raise _Stop
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polysearch, "solve_instance", stop)
+            with pytest.raises(_Stop):
+                find_siggers(core)
+        return got[0]
+
+    def test_polymorphism_searches(self, monkeypatch):
+        # every full call of the corpus trees' top-and-bottom WNU3 and of
+        # the four searches on every 10th loopless 4-vertex digraph: one
+        # per solver call (1,060 and 191 in `TestWorkCounts`)
+        outcomes = []
+
+        def checking(domains, inst, trail=None):
+            if trail is not None:
+                return _ac_fixpoint(domains, inst, trail)
+            outcomes.append(self.same_fixpoint(domains, inst))
+            return outcomes[-1]
+
+        monkeypatch.setattr(homsolver, "_ac_fixpoint", checking)
+        for spec in random_special_trees(25):
+            tree = compile_tree(spec)
+            find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
+        assert len(outcomes) == 1060
+        graphs = loopless_digraphs_up_to_iso(4)[::10]
+        assert len(graphs) == 22
+        for h in graphs:
+            for run in (lambda: find_wnu(h, 2), lambda: find_wnu(h, 3),
+                        lambda: find_majority(h), lambda: find_siggers(h)):
+                run()
+        assert len(outcomes) == 1060 + 191
+        assert not all(outcomes)
+
+    def test_triad_siggers_component(self, triad_siggers):
+        # the index-order queue pops 132,008 times, about four pops per
+        # class, before the pins' narrowing has reached most classes;
+        # seeded from the pins, the same fixpoint takes 58,899 pops
+        inst, log = logging_pops(triad_siggers)
+        assert inst.variable_count == 33_843
+        seeded, fifo = list(inst.domains), list(inst.domains)
+        assert _ac_fixpoint(seeded, inst)
+        assert len(log) == 58_899
+        log.clear()
+        assert fifo_fixpoint(fifo, inst)
+        assert len(log) == 132_008
+        assert seeded == fifo
+
+    def test_pinned_and_unpinned_parts(self):
+        # 3 -> 4 with 4 pinned, beside the free path 0 -> 1 -> 2, into the
+        # path 0 -> 1 -> 2: the pin's wave pops 4 and 3, then the free
+        # path, which it never reached, is popped in index order
+        x = Digraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        h = Digraph.from_edges(3, [(0, 1), (1, 2)])
+        inst, log = logging_pops(build_instance(x, h, {4: 1}))
+        domains = list(inst.domains)
+        assert _ac_fixpoint(domains, inst)
+        assert log[:5] == [4, 3, 0, 1, 2]
+        assert domains == [0b001, 0b010, 0b100, 0b001, 0b010]
+        assert self.same_fixpoint(list(inst.domains), inst)
+        # with nothing pinned, every variable is queued in index order, as
+        # in `fifo_fixpoint`, and pops the same
+        free, log = logging_pops(build_instance(x, h))
+        assert _ac_fixpoint(list(free.domains), free)
+        seeded = list(log)
+        log.clear()
+        assert fifo_fixpoint(list(free.domains), free)
+        assert seeded == log and seeded[:5] == [0, 1, 2, 3, 4]
 
 
 def open_vars(domains, candidates):

@@ -23,7 +23,7 @@ from hcolor.algebra import (
 )
 from hcolor.classify import compute_core
 from hcolor.digraph import Digraph, connected_components
-from hcolor.errors import BudgetExceeded, InconsistentPins
+from hcolor.errors import BudgetExceeded, InconsistentPins, VerificationFailed
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import (
     IdentitySystem,
@@ -205,6 +205,17 @@ class TestWnuOnTopBottom:
         tau = find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
         assert tau is not None
         assert is_polymorphism(tree.digraph, tau)
+
+    def test_found_table_is_rechecked(self, monkeypatch):
+        # the all-zero table preserves 0 -> 0 and 0 -> 1 but is not
+        # idempotent; the re-check catches it as find_wnu's does
+        h = Digraph.from_edges(2, [(0, 0), (0, 1)])
+        monkeypatch.setattr(polysearch, "_solve_lazily",
+                            lambda h, sys_, budget, node_budget: (0,) * 2 ** sys_.arity)
+        with pytest.raises(VerificationFailed, match="fails is_wnu_on_top_bottom"):
+            find_wnu_on_top_bottom(h, 3, {0}, {1})
+        with pytest.raises(VerificationFailed, match="fails is_wnu"):
+            find_wnu(h, 3)
 
 
 class TestQuotientSoundness:
@@ -726,6 +737,12 @@ CORRUPTED_SOLVERS = """
     polysearch.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
     expect_failure(lambda: polysearch.find_wnu(edge, 3))
     polysearch.solve_instance = solve_instance
+    # the all-zero table preserves 0 -> 0 and 0 -> 1 but is not idempotent
+    solve_lazily = polysearch._solve_lazily
+    polysearch._solve_lazily = lambda h, sys_, budget, node_budget: (0,) * 2 ** sys_.arity
+    expect_failure(lambda: polysearch.find_wnu_on_top_bottom(
+        Digraph.from_edges(2, [(0, 0), (0, 1)]), 3, {0}, {1}))
+    polysearch._solve_lazily = solve_lazily
     polysearch.is_wnu = lambda table: False
     expect_failure(lambda: polysearch.find_wnu(edge, 3))
 
@@ -778,7 +795,8 @@ def test_verification_survives_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # each corruption is caught by the check meant for it
-    expected = ("violates constraint", "not a polymorphism", "fails", "endomorphism is not",
+    expected = ("violates constraint", "not a polymorphism", "fails is_wnu_on_top_bottom",
+                "fails", "endomorphism is not",
                 "retraction is not", "retraction is onto", "not idempotent at 0",
                 "extension is not a polymorphism", "does not map onto", "is not onto",
                 "is not minimal of height", "not an oriented tree")
