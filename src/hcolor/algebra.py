@@ -422,45 +422,25 @@ def compose_pointing(f_cert: WeakPointingCertificate,
     return out
 
 
-@dataclass(frozen=True)
-class AbsorptionCertificate:
-    """subset absorbs superset via op.
-
-    `polymer` may carry the binary polymer when op is a WNU; singleton
-    subsets are then checked through it, which the WNU pattern equalities
-    make exact.
-    """
-
-    superset: frozenset[int]
-    subset: frozenset[int]
-    op: Operation
-    polymer: OperationTable | None = None
-
-
-def verify_absorption(cert: AbsorptionCertificate,
-                      budget: int = DEFAULT_CLOSURE_BUDGET) -> bool:
-    sup, sub = cert.superset, cert.subset
-    if not sub or not sub <= sup:
+def absorbs(op: Operation, superset: frozenset[int], subset: frozenset[int],
+            budget: int = DEFAULT_CLOSURE_BUDGET) -> bool:
+    """True iff the nonempty subset absorbs the superset via op: both are
+    closed under op, and op lands in the subset whenever all but one
+    argument lie there."""
+    if not subset or not subset <= superset:
         return False
-    if cert.polymer is not None and len(sub) == 1:
-        (o,) = sub
-        p = cert.polymer
-        return all(p(o, x) == o for x in sorted(sup))
-    op = cert.op
     k = op.arity
-    if len(sup) ** k > budget:
+    if len(superset) ** k > budget:
         raise BudgetExceeded("absorption check exceeds budget")
-    for args in product(sorted(sup), repeat=k):
-        if op.apply(args) not in sup:
-            return False
-    inside = all(op.apply(args) in sub for args in product(sorted(sub), repeat=k))
-    if not inside:
+    sup, sub = sorted(superset), sorted(subset)
+    if any(op.apply(args) not in superset for args in product(sup, repeat=k)):
+        return False
+    if any(op.apply(args) not in subset for args in product(sub, repeat=k)):
         return False
     for i in range(k):
-        for free in sorted(sup):
-            for rest in product(sorted(sub), repeat=k - 1):
-                args = rest[:i] + (free,) + rest[i:]
-                if op.apply(args) not in sub:
+        for free in sup:
+            for rest in product(sub, repeat=k - 1):
+                if op.apply(rest[:i] + (free,) + rest[i:]) not in subset:
                     return False
     return True
 
@@ -490,11 +470,6 @@ def comparable_pair_failure(tree: SpecialTree, o: int,
                 if preceq(tree, o, a, ap) and op(a, ap) != a:
                     return a, ap
     return None
-
-
-def verify_preceq_absorption(tree: SpecialTree, o: int, polymer: OperationTable) -> bool:
-    """Comparable template pairs collapse to the lower element under o."""
-    return comparable_pair_failure(tree, o, polymer) is None
 
 
 # binary extension machinery

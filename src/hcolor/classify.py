@@ -22,7 +22,6 @@ from .algebra import (
     make_special,
     s_set,
     star_table,
-    verify_preceq_absorption,
 )
 from .digraph import (
     DEFAULT_POWER_BUDGET,
@@ -53,6 +52,7 @@ from .spectree import (
     compile_tree,
     e_neighborhood,
     preceq,
+    spec_from_core,
 )
 
 NP_COMPLETE = "NP_COMPLETE"
@@ -60,6 +60,7 @@ BOUNDED_WIDTH = "BOUNDED_WIDTH"
 UNDETERMINED = "UNDETERMINED"
 TAYLOR = "TAYLOR"
 NOT_TAYLOR = "NOT_TAYLOR"
+BUDGET_SKIPPED = "skipped: budget exceeded"  # a check the budgets cut short
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,7 @@ class CoreResult:
 
 def _quotient(g: Digraph, u: int, v: int) -> tuple[Digraph, tuple[int, ...]]:
     """Identify v with u; parallel edges collapse."""
-    mapping = []
-    nxt = 0
-    for w in range(g.vertex_count):
-        if w == v:
-            mapping.append(None)  # filled below
-            continue
-        mapping.append(nxt)
-        nxt += 1
+    mapping = [w - (w > v) for w in range(g.vertex_count)]
     mapping[v] = mapping[u]
     edges = {(mapping[a], mapping[b]) for a, b in g.edges}
     return Digraph.from_edges(g.vertex_count - 1, edges), tuple(mapping)
@@ -158,21 +152,6 @@ def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     _check_hom(g, current, overall, "map onto the core")
     _check_hom(current, g, embedding, "core embedding")
     return CoreResult(current, overall, embedding)
-
-
-def spec_from_core(core: Digraph) -> SpecialTreeSpec:
-    """Re-read a digraph as a special-tree template; raises if it is not one."""
-    from .spectree import _attached_paths
-
-    levels = compute_levels(core)
-    h = levels.height
-    a_list = sorted(v for v in range(core.vertex_count) if levels[v] == 0)
-    b_list = sorted(v for v in range(core.vertex_count) if levels[v] == h)
-    a_index = {v: i for i, v in enumerate(a_list)}
-    b_index = {v: j for j, v in enumerate(b_list)}
-    attached = _attached_paths(core, levels, h)
-    edges = tuple((a_index[a], b_index[b], p) for a, b, p in attached)
-    return SpecialTreeSpec(len(a_list), len(b_list), h, edges)
 
 
 @dataclass
@@ -289,7 +268,7 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
 def _check_diagonal_containment(tree: SpecialTree, n: int, delta: frozenset[int] | None) -> str:
     size = tree.digraph.vertex_count
     if delta is None:
-        return "skipped: power exceeds budget"
+        return BUDGET_SKIPPED
     for side in (tree.a_vertices, tree.b_vertices):
         for tup in product(sorted(side), repeat=n):
             if power_index(size, tup) not in delta:
@@ -389,7 +368,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
             indicator_budget, node_budget)
     except BudgetExceeded:
         tau = None
-        report["top_bottom_wnu"] = "skipped: budget exceeded"
+        report["top_bottom_wnu"] = BUDGET_SKIPPED
     else:
         report["top_bottom_wnu"] = "found" if tau is not None else "none"
     dependent = ["wnu_extension", "special_polymer", "singleton_absorber",
@@ -405,7 +384,8 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
         full_wnu = extend_wnu(tree, tau, power_budget, deltas[3])
         report["wnu_extension"] = "pass"
     except (ConstructionStuck, BudgetExceeded) as exc:
-        report["wnu_extension"] = f"fail: {exc}"
+        report["wnu_extension"] = (BUDGET_SKIPPED if isinstance(exc, BudgetExceeded)
+                                   else f"fail: {exc}")
         for key in dependent[1:]:
             report[key] = "skipped: no full WNU"
         return report
@@ -430,7 +410,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
         return report
 
     side = tree.a_vertices if o in tree.a_vertices else tree.b_vertices
-    ok14 = verify_preceq_absorption(tree, o, polymer) and all(
+    ok14 = comparable_pair_failure(tree, o, polymer) is None and all(
         polymer(o, x) == o for x in sorted(side))
     report["comparable_pair_absorption"] = "pass" if ok14 else "fail"
 

@@ -13,6 +13,7 @@ import sys
 from .algebra import format_op, write_op
 from .classify import (
     BOUNDED_WIDTH,
+    BUDGET_SKIPPED,
     NP_COMPLETE,
     NOT_TAYLOR,
     TAYLOR,
@@ -193,9 +194,10 @@ def _cmd_verify(args) -> int:
     report = verify_lemma_suite(
         spec, args.seed, args.budget_indicator, args.budget_nodes, args.budget_power)
     _emit_json(report, args.json)
-    failed = [k for k, v in report.items()
-              if isinstance(v, str) and v.startswith("fail")]
-    return EXIT_NONE if failed else EXIT_FOUND
+    verdicts = [v for v in report.values() if isinstance(v, str)]
+    if any(v.startswith("fail") for v in verdicts):
+        return EXIT_NONE
+    return EXIT_BUDGET if BUDGET_SKIPPED in verdicts else EXIT_FOUND
 
 
 def _cmd_gen(args) -> int:

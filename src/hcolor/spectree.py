@@ -194,8 +194,21 @@ def _attached_paths(g: Digraph, levels: LevelAssignment, h: int
     return sorted(paths, key=lambda t: (t[0], t[1], t[2].directions))
 
 
+def spec_from_core(core: Digraph) -> SpecialTreeSpec:
+    """Re-read a digraph as a special-tree template; raises if it is not one."""
+    levels = compute_levels(core)
+    h = levels.height
+    a_list = sorted(v for v in range(core.vertex_count) if levels[v] == 0)
+    b_list = sorted(v for v in range(core.vertex_count) if levels[v] == h)
+    a_index = {v: i for i, v in enumerate(a_list)}
+    b_index = {v: j for j, v in enumerate(b_list)}
+    attached = _attached_paths(core, levels, h)
+    edges = tuple((a_index[a], b_index[b], p) for a, b, p in attached)
+    return SpecialTreeSpec(len(a_list), len(b_list), h, edges)
+
+
 def recover_top_bottom(
-    g: Digraph, h: int, max_len: int | None = None
+    g: Digraph, h: int
 ) -> tuple[frozenset[int], frozenset[int], frozenset[tuple[int, int]]]:
     """Recover (A, B, E) from a compiled special tree of height h.
 
@@ -212,7 +225,7 @@ def recover_top_bottom(
     b_set = frozenset(v for v in range(g.vertex_count) if levels[v] == h)
     attached = _attached_paths(g, levels, h)
     distinct = sorted({str(p) for _, _, p in attached})
-    q = common_onto_minimal_path([OrientedPath(s) for s in distinct], max_len)
+    q = common_onto_minimal_path([OrientedPath(s) for s in distinct])
     pairs = set()
     for start in range(g.vertex_count):
         reach = {start}
@@ -248,32 +261,16 @@ def dist_e(tree: SpecialTree, x: int, y: int) -> int:
     raise ValueError("template is disconnected")  # unreachable on valid trees
 
 
-def e_step(tree: SpecialTree, s: frozenset[int]) -> frozenset[int]:
-    """One template-neighborhood step from a one-sided vertex set."""
-    if not s:
-        return frozenset()
-    in_a = s <= tree.a_vertices
-    in_b = s <= tree.b_vertices
-    if not (in_a or in_b):
-        raise MixedLevels("set must lie within A or within B")
-    out = set()
-    for a, b in tree.template_pairs:
-        if in_a and a in s:
-            out.add(b)
-        if in_b and b in s:
-            out.add(a)
-    return frozenset(out)
-
-
 def e_neighborhood(tree: SpecialTree, s: frozenset[int], k: int) -> frozenset[int]:
-    """k-fold iterated template neighborhood E_k(s)."""
+    """k-fold iterated template neighborhood E_k(s) of a one-sided set."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     cur = frozenset(s)
     if cur and not (cur <= tree.a_vertices or cur <= tree.b_vertices):
         raise MixedLevels("set must lie within A or within B")
+    adj = tree.template_adjacency
     for _ in range(k):
-        cur = e_step(tree, cur)
+        cur = frozenset(w for v in cur for w in adj[v])
     return cur
 
 

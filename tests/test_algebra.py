@@ -9,17 +9,18 @@ import reference
 from corpus import loopless_digraphs_up_to_iso, random_special_trees
 from hcolor.digraph import Digraph, LevelAssignment, diagonal_component, power_index
 from hcolor.errors import (
+    ArityBudgetExceeded,
     ConstructionStuck,
     DistanceNotUniform,
     NotWNU,
     PreconditionViolated,
 )
 from hcolor.algebra import (
-    AbsorptionCertificate,
     ComposeExpr,
     OperationTable,
     WeakPointingCertificate,
     _wnu_extension_values,
+    absorbs,
     binary_polymer,
     build_pointing_for_af,
     build_pointing_for_neighborhood,
@@ -42,8 +43,6 @@ from hcolor.algebra import (
     s_set,
     star_table,
     table_from_function,
-    verify_absorption,
-    verify_preceq_absorption,
     verify_weak_pointing,
 )
 from hcolor.minpath import OrientedPath
@@ -316,14 +315,16 @@ class TestSSet:
 class TestAbsorption:
     def test_subset_equals_superset(self):
         full = frozenset({0, 1})
-        assert verify_absorption(AbsorptionCertificate(full, full, BOOL_MEET))
+        assert absorbs(BOOL_MEET, full, full)
 
     def test_meet_absorbs_into_zero(self):
         full = frozenset({0, 1})
-        assert verify_absorption(AbsorptionCertificate(full, frozenset({0}), BOOL_MEET))
-        assert not verify_absorption(AbsorptionCertificate(full, frozenset({1}), BOOL_MEET))
+        assert absorbs(BOOL_MEET, full, frozenset({0}))
+        assert not absorbs(BOOL_MEET, full, frozenset({1}))
 
     def test_polymer_reduction_matches_full_check(self):
+        # the singleton criterion of find_singleton_absorber, o p x = o for
+        # the binary polymer p of a WNU w, is exactly absorption via w
         from hcolor.polysearch import find_wnu
 
         for dirs in ("1", "11", "111"):
@@ -334,11 +335,8 @@ class TestAbsorption:
             p = binary_polymer(w)
             full = frozenset(range(h.vertex_count))
             for o in range(h.vertex_count):
-                via_polymer = verify_absorption(
-                    AbsorptionCertificate(full, frozenset({o}), w, polymer=p))
-                direct = verify_absorption(
-                    AbsorptionCertificate(full, frozenset({o}), w))
-                assert via_polymer == direct
+                via_polymer = all(p(o, x) == o for x in full)
+                assert via_polymer == absorbs(w, full, frozenset({o}))
 
 
 class TestSingletonAbsorber:
@@ -361,7 +359,7 @@ class TestSingletonAbsorber:
         assert w is not None
         _, p = make_special(w)
         o = find_singleton_absorber(tree, p)
-        assert verify_preceq_absorption(tree, o, p)
+        assert comparable_pair_failure(tree, o, p) is None
         side = tree.a_vertices if o in tree.a_vertices else tree.b_vertices
         assert all(p(o, x) == o for x in side)
 
@@ -375,7 +373,6 @@ class TestSingletonAbsorber:
         second = table_from_function(39, 2, lambda a: a[1])
         o, first = sorted(tree.a_vertices)[:2]
         assert comparable_pair_failure(tree, o, second) == (o, first)
-        assert not verify_preceq_absorption(tree, o, second)
         assert _check_star_collapse_below(tree, o, second) == f"fail: {o} * {first} = {first}"
 
     def test_diagnostic_when_not_special(self):
@@ -541,6 +538,16 @@ class TestNeighborhoodPointing:
         tree, b, star = cyclic_star_tree()
         with pytest.raises(ConstructionStuck):
             build_pointing_for_neighborhood(tree, b, frozenset({0, 1}), star)
+
+    @pytest.mark.parametrize("make, c_set, arity", [(cyclic_star_tree, {0, 1, 2}, 4),
+                                                    (deep_star_tree, {0, 1, 2, 3}, 8)])
+    def test_arity_budget(self, make, c_set, arity):
+        # the budget bounds the composed arity inclusively
+        tree, b, star = make()
+        cert = build_pointing_for_neighborhood(tree, b, frozenset(c_set), star, arity)
+        assert cert.op.arity == arity
+        with pytest.raises(ArityBudgetExceeded):
+            build_pointing_for_neighborhood(tree, b, frozenset(c_set), star, arity - 1)
 
 
 class TestAfPointing:

@@ -11,7 +11,6 @@ from hcolor.classify import (
     classify_digraph,
     classify_special_tree,
     compute_core,
-    spec_from_core,
     verify_lemma_suite,
 )
 from hcolor.algebra import table_from_function
@@ -19,7 +18,7 @@ from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
 from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
-from hcolor.spectree import SpecialTreeSpec, canned_triad, compile_tree
+from hcolor.spectree import SpecialTreeSpec, canned_triad, compile_tree, spec_from_core
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 

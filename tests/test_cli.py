@@ -185,6 +185,31 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["wnu_extension"] == "pass"
 
+    def run_edge(self, tmp_path, capsys, *flags):
+        spec = tmp_path / "edge.stree"
+        spec.write_text("stree 1 1 1 1\n0 0 1\n")
+        code = main(["verify", "--tree", str(spec), *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_power_budget_skips_extension(self, tmp_path, capsys):
+        # the extension's power set outgrows the budget: undetermined, not failed
+        code, report = self.run_edge(tmp_path, capsys, "--budget-power", "1")
+        assert code == 3
+        assert report["wnu_extension"] == "skipped: budget exceeded"
+        assert report["special_polymer"] == "skipped: no full WNU"
+        assert not any(str(v).startswith("fail") for v in report.values())
+
+    def test_indicator_budget_skip_exits_3(self, tmp_path, capsys):
+        code, report = self.run_edge(tmp_path, capsys, "--budget-indicator", "1")
+        assert code == 3
+        assert report["top_bottom_wnu"] == "skipped: budget exceeded"
+
+    def test_power_budget_skips_diagonal_containment(self, triad_file, capsys):
+        assert main(["verify", "--tree", triad_file, "--budget-power", "50"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagonal_containment_n2"] == "skipped: budget exceeded"
+        assert report["top_bottom_wnu"] == "none"
+
     def test_unknown_suite(self, tmp_path):
         spec = tmp_path / "edge.stree"
         spec.write_text("stree 1 1 1 1\n0 0 1\n")

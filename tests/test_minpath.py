@@ -9,6 +9,7 @@ from hcolor.minpath import (
     OrientedPath,
     common_onto_minimal_path,
     is_minimal,
+    minimal_path_counts,
     path_onto_hom,
 )
 from reference import net_length
@@ -108,6 +109,19 @@ class TestIsMinimal:
                 if (i, j) == (0, p.length):
                     continue
                 assert net_length(OrientedPath(p.directions[i:j])) < full
+
+
+class TestMinimalPathCounts:
+    def test_agrees_with_enumeration(self):
+        # the sampler draws lengths in proportion to these counts
+        from itertools import product
+
+        for h in range(1, 5):
+            counts = minimal_path_counts(h, 10)
+            for length in range(1, 11):
+                paths = (OrientedPath("".join(d)) for d in product("01", repeat=length))
+                brute = sum(1 for p in paths if is_minimal(p) and p.height == h)
+                assert counts[length][0] == brute, (h, length)
 
 
 class TestPathOntoHom:
