@@ -264,23 +264,6 @@ def star_table(polymer: OperationTable) -> OperationTable:
     return OperationTable(n, 2, tuple(out))
 
 
-def closure(s: frozenset[int], ops, budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[int]:
-    """Least superset of s closed under every operation."""
-    current = set(s)
-    changed = True
-    while changed:
-        changed = False
-        for op in ops:
-            if len(current) ** op.arity > budget:
-                raise BudgetExceeded("closure enumeration exceeds budget")
-            for args in product(sorted(current), repeat=op.arity):
-                val = op.apply(args)
-                if val not in current:
-                    current.add(val)
-                    changed = True
-    return frozenset(current)
-
-
 # binary star-terms: 'x', 'y', or ('star', t1, t2)
 
 Term = object
@@ -850,6 +833,8 @@ def parse_op(text: str) -> OperationTable:
         values = tuple(int(ln.strip()) for ln in lines[1:])
     except ValueError as exc:
         raise InvalidFormat("bad operation file") from exc
+    if size < 0 or arity < 0:
+        raise InvalidFormat(f"negative size or arity: {lines[0]!r}")
     if len(values) != size ** arity:
         raise InvalidFormat(f"expected {size ** arity} values, found {len(values)}")
     try:

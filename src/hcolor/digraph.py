@@ -135,19 +135,13 @@ def compute_levels(g: Digraph) -> LevelAssignment:
     """The unique level assignment of a connected balanced digraph.
 
     Raises NotBalanced when no level function exists and ValueError when the
-    digraph is disconnected (use component_levels for that case).
+    digraph is disconnected.
     """
     if g.vertex_count and not is_connected(g):
-        raise ValueError("digraph is disconnected; use component_levels")
+        raise ValueError("digraph is disconnected")
     levels = _raw_levels(g)
     height = max(levels, default=0)
     return LevelAssignment(tuple(levels), height)
-
-
-def component_levels(g: Digraph) -> LevelAssignment:
-    """Levels with each weak component independently shifted to minimum 0."""
-    levels = _raw_levels(g)
-    return LevelAssignment(tuple(levels), max(levels, default=0))
 
 
 def is_oriented_tree(g: Digraph) -> bool:

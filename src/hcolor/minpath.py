@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .digraph import Digraph
 from .errors import HeightMismatch, NotMinimal, SearchExhausted, VerificationFailed
-from .homsolver import solve_hom
+from .homsolver import _union, edge_relation, solve_hom
 
 
 @dataclass(frozen=True)
@@ -144,32 +144,16 @@ def sample_minimal_path(rng, height: int, max_len: int) -> OrientedPath:
     return p
 
 
-def _step_masks(p: OrientedPath) -> tuple[int, int, int, int]:
-    """Bitmask step tables for walking over p's positions.
-
-    Returns masks of positions allowed to move right/left under a forward
-    ('1') and a backward ('0') step of the walking path.
-    """
-    fwd_right = fwd_left = bwd_right = bwd_left = 0
-    for pos, c in enumerate(p.directions):
-        if c == "1":
-            fwd_right |= 1 << pos
-            bwd_left |= 1 << (pos + 1)
-        else:
-            bwd_right |= 1 << pos
-            fwd_left |= 1 << (pos + 1)
-    return fwd_right, fwd_left, bwd_right, bwd_left
-
-
 def common_onto_minimal_path(
     paths: list[OrientedPath], max_len: int | None = None
 ) -> OrientedPath:
     """A shortest minimal path mapping onto every input, endpoints pinned.
 
     Inputs must be minimal paths of one common height h.  The search runs
-    breadth-first over direction strings; a state keeps, per input path, the
-    set of positions an endpoint-pinned homomorphism can currently occupy.
-    The result is re-verified with path_onto_hom before it is returned.
+    breadth-first over direction strings, '1' before '0'; a state keeps, per
+    input path, the mask of positions an endpoint-pinned homomorphism can
+    currently occupy, stepped through the path's edge relation.  The result
+    is re-verified with path_onto_hom before it is returned.
     """
     if not paths:
         raise ValueError("need at least one path")
@@ -179,69 +163,39 @@ def common_onto_minimal_path(
     h = paths[0].height
     if any(p.height != h for p in paths):
         raise HeightMismatch("input paths must share one height")
+    if h == 0:  # every input is the one-vertex path
+        return OrientedPath("")
     if max_len is None:
         max_len = max(4 * sum(p.length for p in paths), 4)
 
-    masks = [_step_masks(p) for p in paths]
+    rels = [edge_relation(p.to_digraph()) for p in paths]
     goals = [1 << p.length for p in paths]
-    start = (0, tuple(1 << 0 for _ in paths))
-
-    def accepting(state: tuple[int, tuple[int, ...]]) -> bool:
-        level, pos = state
-        return level == h and all(pos[i] & goals[i] for i in range(len(paths)))
-
-    def rebuild(state, parents) -> str:
-        out = []
-        while state in parents:
-            state, c = parents[state]
-            out.append(c)
-        return "".join(reversed(out))
-
-    if accepting(start):  # height-0 degenerate case
-        return OrientedPath("")
-
-    parents: dict = {}
+    start = (0, (1,) * len(paths))
     seen = {start}
-    frontier = deque([start])
-    length = 0
-    while frontier and length < max_len:
-        length += 1
-        for _ in range(len(frontier)):
-            level, pos = frontier.popleft()
-            for c in "10":
-                nl = level + (1 if c == "1" else -1)
-                # minimality: level h only at the terminal, level 0 only at
-                # the start, everything else strictly between
-                if nl < 1 or nl > h:
-                    continue
-                npos = []
-                dead = False
-                for i, pm in enumerate(pos):
-                    fr, fl, br, bl = masks[i]
-                    if c == "1":
-                        nm = ((pm & fr) << 1) | ((pm & fl) >> 1)
-                    else:
-                        nm = ((pm & br) << 1) | ((pm & bl) >> 1)
-                    if not nm:
-                        dead = True
-                        break
-                    npos.append(nm)
-                if dead:
-                    continue
-                state = (nl, tuple(npos))
-                if state in seen:
-                    continue
-                seen.add(state)
-                parents[state] = ((level, pos), c)
-                if accepting(state):
-                    q = OrientedPath(rebuild(state, parents))
-                    if not (is_minimal(q) and q.height == h):
-                        raise VerificationFailed(f"common path {q} is not minimal of height {h}")
-                    for p in paths:
-                        if path_onto_hom(q, p) is None:
-                            raise VerificationFailed(f"common path {q} does not map onto {p}")
-                    return q
-                if nl < h:  # level-h states are terminal only
-                    frontier.append(state)
+    frontier = deque([(start, "")])
+    while frontier:
+        (level, pos), word = frontier.popleft()
+        if len(word) == max_len:
+            break
+        for c, nl in (("1", level + 1), ("0", level - 1)):
+            # minimality: level 0 only at the start, level h only at the end
+            if not 1 <= nl <= h:
+                continue
+            npos = tuple(_union(rel.fwd if c == "1" else rel.rev, pm)
+                         for rel, pm in zip(rels, pos))
+            state = (nl, npos)
+            if not all(npos) or state in seen:
+                continue
+            seen.add(state)
+            if nl < h:  # level-h states are terminal only
+                frontier.append((state, word + c))
+            elif all(pm & goal for pm, goal in zip(npos, goals)):
+                q = OrientedPath(word + c)
+                if not (is_minimal(q) and q.height == h):
+                    raise VerificationFailed(f"common path {q} is not minimal of height {h}")
+                for p in paths:
+                    if path_onto_hom(q, p) is None:
+                        raise VerificationFailed(f"common path {q} does not map onto {p}")
+                return q
     raise SearchExhausted(
         f"no common path of length <= {max_len}; the cap is undersized")

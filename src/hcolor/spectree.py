@@ -7,13 +7,28 @@ path of one common height, initial vertex glued to the A-endpoint.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import Digraph, LevelAssignment, compute_levels, is_connected, is_oriented_tree
-from .errors import InvalidFormat, InvalidSpec, MixedLevels, NotMinimal, VerificationFailed
-from .minpath import OrientedPath, common_onto_minimal_path, is_minimal
+from .errors import (
+    InvalidFormat,
+    InvalidParams,
+    InvalidSpec,
+    MixedLevels,
+    NotMinimal,
+    VerificationFailed,
+)
+from .homsolver import _bits, _union, edge_relation
+from .minpath import (
+    OrientedPath,
+    common_onto_minimal_path,
+    is_minimal,
+    minimal_path_counts,
+    sample_minimal_path,
+)
 
 # Vertex roles in a compiled tree: ('A', i), ('B', j) or ('P', edge, pos)
 # with pos counted from the A-endpoint of the attached path.
@@ -226,38 +241,28 @@ def recover_top_bottom(
     attached = _attached_paths(g, levels, h)
     distinct = sorted({str(p) for _, _, p in attached})
     q = common_onto_minimal_path([OrientedPath(s) for s in distinct])
+    rel = edge_relation(g)
     pairs = set()
     for start in range(g.vertex_count):
-        reach = {start}
+        reach = 1 << start
         for c in q.directions:
-            nxt: set[int] = set()
-            for v in reach:
-                nxt.update(g.out_neighbors[v] if c == "1" else g.in_neighbors[v])
-            reach = nxt
-            if not reach:
-                break
-        for end in reach:
-            pairs.add((start, end))
+            reach = _union(rel.fwd if c == "1" else rel.rev, reach)
+        pairs.update((start, end) for end in _bits(reach))
     return a_set, b_set, frozenset(pairs)
 
 
 def dist_e(tree: SpecialTree, x: int, y: int) -> int:
-    """Graph distance of two top/bottom vertices in the bipartite template."""
+    """Graph distance of two top/bottom vertices in the bipartite template:
+    the first k with y in E_k({x}), as walks in a tree first reach y at the
+    distance."""
     adj = tree.template_adjacency
     if x not in adj or y not in adj:
         raise ValueError("dist_e arguments must be template (top or bottom) vertices")
-    if x == y:
-        return 0
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == y:
-                    return dist[w]
-                queue.append(w)
+    cur = frozenset({x})
+    for k in range(len(adj)):
+        if y in cur:
+            return k
+        cur = e_neighborhood(tree, cur, 1)
     raise ValueError("template is disconnected")  # unreachable on valid trees
 
 
@@ -291,11 +296,6 @@ def gen_random_special_tree(
 ) -> SpecialTreeSpec:
     """Seeded random template: a uniform spanning tree of the complete
     bipartite template with a uniformly sampled minimal path per edge."""
-    import random
-
-    from .errors import InvalidParams
-    from .minpath import minimal_path_counts, sample_minimal_path
-
     if a_count < 1 or b_count < 1 or h < 1:
         raise InvalidParams("a_count, b_count and height must be positive")
     if max_path_len < h:

@@ -12,6 +12,7 @@ from hcolor.errors import (
     ArityBudgetExceeded,
     ConstructionStuck,
     DistanceNotUniform,
+    InvalidFormat,
     NotWNU,
     PreconditionViolated,
 )
@@ -24,7 +25,6 @@ from hcolor.algebra import (
     binary_polymer,
     build_pointing_for_af,
     build_pointing_for_neighborhood,
-    closure,
     comparable_pair_failure,
     compose_pointing,
     eval_term,
@@ -83,6 +83,22 @@ class TestOperationTable:
 
     def test_op_format_round_trip(self):
         assert parse_op(format_op(BOOL_MAJORITY)) == BOOL_MAJORITY
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty operation file"),
+        ("# only a comment\n", "empty operation file"),
+        ("ops 2 2\n0\n0\n0\n1\n", "bad header line: 'ops 2 2'"),
+        ("op 2\n0\n", "bad header line: 'op 2'"),
+        ("op 2 x\n0\n", "bad operation file"),
+        ("op 2 2\n0\n1\n1\n", "expected 4 values, found 3"),
+        ("op 2 1\n0\n2\n", "table value out of range"),
+        ("op 2 -1\n", "negative size or arity: 'op 2 -1'"),
+        ("op -2 2\n0\n0\n0\n0\n", "negative size or arity: 'op -2 2'"),
+    ])
+    def test_parse_op_rejects(self, text, message):
+        with pytest.raises(InvalidFormat) as exc:
+            parse_op(text)
+        assert str(exc.value) == message
 
 
 class TestOperationExpr:
@@ -258,21 +274,6 @@ class TestStar:
         p = table_from_function(3, 2, lambda a: a[1])
         st = star_table(p)
         assert all(st(x, y) == y for x in range(3) for y in range(3))
-
-
-class TestClosure:
-    def test_idempotent_singleton(self):
-        assert closure(frozenset({1}), [BOOL_MEET]) == frozenset({1})
-
-    def test_full_set(self):
-        full = frozenset(range(2))
-        assert closure(full, [BOOL_MEET]) == full
-
-    def test_meet_on_chain(self):
-        meet = table_from_function(3, 2, lambda a: min(a))
-        assert closure(frozenset({1, 2}), [meet]) == frozenset({1, 2})
-        add_mod = table_from_function(3, 2, lambda a: (a[0] + a[1]) % 3)
-        assert closure(frozenset({1}), [add_mod]) == frozenset({0, 1, 2})
 
 
 class TestSSet:

@@ -50,13 +50,20 @@ class TestSolve:
         x.write_text(format_dg(OrientedPath("11").to_digraph()))
         assert main(["solve", "--input", str(x), "--target", edge_file]) == 1
 
-    def test_ac_and_23(self, tmp_path, edge_file):
+    def test_ac_and_23(self, tmp_path, edge_file, capsys):
         x = tmp_path / "x.dg"
         x.write_text(format_dg(OrientedPath("11").to_digraph()))
         assert main(["solve", "--input", str(x), "--target", edge_file,
                      "--method", "ac"]) == 1
         assert main(["solve", "--input", edge_file, "--target", edge_file,
                      "--method", "23"]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", edge_file, "--target", edge_file,
+                     "--method", "ac"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0 {0}", "1 {1}"]
+        assert main(["solve", "--input", str(x), "--target", edge_file,
+                     "--method", "23"]) == 1
+        assert capsys.readouterr().out == "refuted by pair consistency\n"
 
     def test_pins(self, edge_file):
         assert main(["solve", "--input", edge_file, "--target", edge_file,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from corpus import random_digraph as corpus_digraph
 from hcolor.digraph import (
     Digraph,
-    component_levels,
     compute_levels,
     connected_components,
     diagonal_component,
@@ -52,8 +51,6 @@ class TestLevels:
         g = Digraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             compute_levels(g)
-        lv = component_levels(g)
-        assert lv.levels == (0, 1, 0, 1)
 
     def test_oriented_trees_always_balanced(self):
         # any oriented tree admits levels

@@ -1,4 +1,5 @@
 import random
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hcolor.minpath import (
     is_minimal,
     minimal_path_counts,
     path_onto_hom,
+    sample_minimal_path,
 )
 from reference import net_length
 
@@ -21,8 +23,6 @@ direction_strings = st.text(alphabet="01", min_size=1, max_size=10)
 
 def brute_force_onto_hom(q: OrientedPath, p: OrientedPath):
     """Enumerate every endpoint-pinned position map and filter; oracle."""
-    from itertools import product
-
     m, lq = p.length, q.length
     found = []
     for mid in product(range(m + 1), repeat=max(lq - 1, 0)):
@@ -114,8 +114,6 @@ class TestIsMinimal:
 class TestMinimalPathCounts:
     def test_agrees_with_enumeration(self):
         # the sampler draws lengths in proportion to these counts
-        from itertools import product
-
         for h in range(1, 5):
             counts = minimal_path_counts(h, 10)
             for length in range(1, 11):
@@ -184,3 +182,17 @@ class TestCommonOntoMinimalPath:
             assert is_minimal(q) and q.height == h
             for p in fam:
                 assert path_onto_hom(q, p) is not None
+
+    def test_first_common_path_by_brute_force(self):
+        # the answer is the first string, shortest first and '1' before '0',
+        # that is minimal of height h and maps onto every input
+        rng = random.Random(17)
+        for _ in range(30):
+            h = rng.randint(2, 4)
+            fam = [sample_minimal_path(rng, h, rng.randint(h + 2, h + 6))
+                   for _ in range(rng.randint(2, 3))]
+            strings = (OrientedPath("".join(d))
+                       for length in count(h) for d in product("10", repeat=length))
+            brute = next(q for q in strings if is_minimal(q) and q.height == h
+                         and all(path_onto_hom(q, p) is not None for p in fam))
+            assert common_onto_minimal_path(fam) == brute, fam
