@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .digraph import Digraph, connected_components, diagonal_component, power_index
+from .digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component, power_index
 from .errors import (
     ArityBudgetExceeded,
     BudgetExceeded,
@@ -461,24 +461,26 @@ def _anchor_map(tree: SpecialTree, anchor: int, c_list: list[int]) -> list[int |
     """Per vertex: the unique c whose side of the tree (relative to the
     anchor) contains it, or None.
 
-    Removing the anchor splits the tree; each c in c_list sits in its own
-    part, and that part is exactly the set of vertices strictly between the
-    anchor and c or at/beyond c.
+    A vertex's side is its ancestor next to the anchor in the tree rooted
+    at the anchor; each c in c_list must have a side of its own, and that
+    side holds exactly the vertices strictly between the anchor and c or
+    at/beyond c.
     """
-    g = tree.digraph
-    parts = connected_components(
-        Digraph(g.vertex_count, frozenset(e for e in g.edges if anchor not in e)))
-    comp = [0] * g.vertex_count
-    for i, part in enumerate(parts):
-        for v in part:
-            comp[v] = i
-    by_comp: dict[int, int] = {}
+    parent = tree.parents_from(anchor)
+
+    def side(v: int) -> int:
+        while parent[v] != anchor:
+            v = parent[v]
+        return v
+
+    by_side: dict[int, int] = {}
     for c in c_list:
-        if comp[c] in by_comp:
-            raise PreconditionViolated(
-                f"{by_comp[comp[c]]} and {c} share a side of the anchor")
-        by_comp[comp[c]] = c
-    return [None if v == anchor else by_comp.get(comp[v]) for v in range(g.vertex_count)]
+        s = side(c)
+        if s in by_side:
+            raise PreconditionViolated(f"{by_side[s]} and {c} share a side of the anchor")
+        by_side[s] = c
+    return [None if v == anchor else by_side.get(side(v))
+            for v in range(tree.digraph.vertex_count)]
 
 
 def _check_template_neighbors(tree: SpecialTree, anchor: int, c_list) -> None:
@@ -772,7 +774,7 @@ def _wnu_extension_values(tree: SpecialTree, tau: OperationTable,
 
 
 def extend_wnu(tree: SpecialTree, tau: OperationTable,
-               power_budget: int = DEFAULT_POLY_BUDGET,
+               power_budget: int = DEFAULT_POWER_BUDGET,
                delta: frozenset[int] | None = None) -> OperationTable:
     """Turn a polymorphism that is a WNU on the top and bottom levels into a
     WNU on the whole tree.
@@ -835,6 +837,8 @@ def parse_op(text: str) -> OperationTable:
         raise InvalidFormat("bad operation file") from exc
     if size < 0 or arity < 0:
         raise InvalidFormat(f"negative size or arity: {lines[0]!r}")
+    if size >= 2 and arity > len(values).bit_length():  # size ** arity > len, not computed
+        raise InvalidFormat(f"expected {size}^{arity} values, found {len(values)}")
     if len(values) != size ** arity:
         raise InvalidFormat(f"expected {size ** arity} values, found {len(values)}")
     try:

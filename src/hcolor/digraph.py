@@ -98,50 +98,35 @@ def is_connected(g: Digraph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def _raw_levels(g: Digraph) -> list[int]:
-    """Per-vertex levels, each component shifted so its minimum is 0."""
-    levels: list[int | None] = [None] * g.vertex_count
-    for start in range(g.vertex_count):
-        if levels[start] is not None:
-            continue
-        levels[start] = 0
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            lu = levels[u]
-            for w in g.out_neighbors[u]:
-                if levels[w] is None:
-                    levels[w] = lu + 1
-                    comp.append(w)
-                    queue.append(w)
-                elif levels[w] != lu + 1:
-                    raise NotBalanced(f"cycle with nonzero net orientation near edge ({u}, {w})")
-            for w in g.in_neighbors[u]:
-                if levels[w] is None:
-                    levels[w] = lu - 1
-                    comp.append(w)
-                    queue.append(w)
-                elif levels[w] != lu - 1:
-                    raise NotBalanced(f"cycle with nonzero net orientation near edge ({w}, {u})")
-        low = min(levels[v] for v in comp)
-        if low:
-            for v in comp:
-                levels[v] -= low
-    return levels  # type: ignore[return-value]
-
-
 def compute_levels(g: Digraph) -> LevelAssignment:
     """The unique level assignment of a connected balanced digraph.
 
     Raises NotBalanced when no level function exists and ValueError when the
-    digraph is disconnected.
+    digraph is disconnected; a disconnected digraph raises ValueError even
+    when it is also unbalanced.
     """
-    if g.vertex_count and not is_connected(g):
+    levels: list[int | None] = [None] * g.vertex_count
+    conflict = None
+    if g.vertex_count:
+        levels[0] = 0
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            lu = levels[u]
+            for ws, lw in ((g.out_neighbors[u], lu + 1), (g.in_neighbors[u], lu - 1)):
+                for w in ws:
+                    if levels[w] is None:
+                        levels[w] = lw
+                        queue.append(w)
+                    elif levels[w] != lw and conflict is None:
+                        conflict = (u, w) if lw > lu else (w, u)
+    if None in levels:
         raise ValueError("digraph is disconnected")
-    levels = _raw_levels(g)
-    height = max(levels, default=0)
-    return LevelAssignment(tuple(levels), height)
+    if conflict is not None:
+        raise NotBalanced(f"cycle with nonzero net orientation near edge {conflict}")
+    low = min(levels, default=0)
+    shifted = tuple(lv - low for lv in levels)
+    return LevelAssignment(shifted, max(shifted, default=0))
 
 
 def is_oriented_tree(g: Digraph) -> bool:

@@ -166,7 +166,7 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
             domains[u] &= rel.diagonal
             if not domains[u]:
                 return False
-        changed, olds = [], []  # no state is 0, so nothing is recorded
+        changed, olds = [], []  # a full call keeps no trail: what lands here is dropped
         full = (1 << rel.size) - 1
         sweep_left = 0 < domains.count(full) < n  # else one pass in index order
         if sweep_left:

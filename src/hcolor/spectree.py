@@ -180,32 +180,28 @@ def _attached_paths(g: Digraph, levels: LevelAssignment, h: int
     Each returned triple is (bottom endpoint, top endpoint, direction string
     read from the bottom endpoint).
     """
-    bottom = {v for v in range(g.vertex_count) if levels[v] == 0}
-    top = {v for v in range(g.vertex_count) if levels[v] == h}
-    ends = bottom | top
     adj = [sorted(g.out_neighbors[v] + g.in_neighbors[v]) for v in range(g.vertex_count)]
     paths = []
-    seen_edges: set[tuple[int, int]] = set()
-    for start in sorted(ends):
+    for start in range(g.vertex_count):
+        if levels[start]:
+            continue
         for first in adj[start]:
-            key = (min(start, first), max(start, first))
-            if key in seen_edges:
-                continue
             walk = [start, first]
-            seen_edges.add(key)
-            while walk[-1] not in ends:
+            while levels[walk[-1]] != h:
+                if not levels[walk[-1]]:
+                    raise InvalidSpec(
+                        f"path from {start} returns to level 0 at {walk[-1]}; not a special tree")
                 nxt = [w for w in adj[walk[-1]] if w != walk[-2]]
                 if len(nxt) != 1:
                     raise InvalidSpec(
                         f"interior vertex {walk[-1]} has degree != 2; not a special tree")
                 walk.append(nxt[0])
-                seen_edges.add((min(walk[-2], walk[-1]), max(walk[-2], walk[-1])))
-            if walk[0] in top:
-                walk.reverse()
             dirs = "".join(
                 "1" if (walk[i], walk[i + 1]) in g.edges else "0"
                 for i in range(len(walk) - 1))
             paths.append((walk[0], walk[-1], OrientedPath(dirs)))
+    if sum(p.length for _, _, p in paths) != len(g.edges):
+        raise InvalidSpec("some path joins two top vertices; not a special tree")
     return sorted(paths, key=lambda t: (t[0], t[1], t[2].directions))
 
 

@@ -7,7 +7,9 @@ before it worked in place: every node copies the domain list, and a frame
 keeps its open variables for `open_branch_var` to pick among.
 `fifo_fixpoint` is a full arc-consistency call as it was before its
 queue was seeded from the narrowed variables: every variable queued in
-index order.  `power_tuple` and `net_length` invert `power_index` and
+index order.  `two_walk_levels` is `compute_levels` as it was before it
+walked the digraph once: a connectivity check, then a level walk that
+shifts each component.  `power_tuple` and `net_length` invert `power_index` and
 measure a path.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
@@ -20,8 +22,8 @@ from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
-from hcolor.digraph import Digraph, power_index
-from hcolor.errors import BudgetExceeded, ConstructionStuck
+from hcolor.digraph import Digraph, LevelAssignment, connected_components, power_index
+from hcolor.errors import BudgetExceeded, ConstructionStuck, NotBalanced
 from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union
 from hcolor.minpath import OrientedPath
 
@@ -132,6 +134,41 @@ def fifo_fixpoint(domains: list[int], inst: CspInstance) -> bool:
                         queued[y] = True
                         queue.append(y)
     return True
+
+
+def two_walk_levels(g: Digraph) -> LevelAssignment:
+    """Levels of a connected balanced digraph, by two walks."""
+    if g.vertex_count and len(connected_components(g)) > 1:
+        raise ValueError("digraph is disconnected")
+    levels: list[int | None] = [None] * g.vertex_count
+    for start in range(g.vertex_count):
+        if levels[start] is not None:
+            continue
+        levels[start] = 0
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            lu = levels[u]
+            for w in g.out_neighbors[u]:
+                if levels[w] is None:
+                    levels[w] = lu + 1
+                    comp.append(w)
+                    queue.append(w)
+                elif levels[w] != lu + 1:
+                    raise NotBalanced(f"cycle with nonzero net orientation near edge ({u}, {w})")
+            for w in g.in_neighbors[u]:
+                if levels[w] is None:
+                    levels[w] = lu - 1
+                    comp.append(w)
+                    queue.append(w)
+                elif levels[w] != lu - 1:
+                    raise NotBalanced(f"cycle with nonzero net orientation near edge ({w}, {u})")
+        low = min(levels[v] for v in comp)
+        if low:
+            for v in comp:
+                levels[v] -= low
+    return LevelAssignment(tuple(levels), max(levels, default=0))
 
 
 def power_tuple(base: int, n: int, idx: int) -> tuple[int, ...]:

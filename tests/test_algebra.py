@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import time
 from itertools import product
 
 import pytest
@@ -99,6 +100,15 @@ class TestOperationTable:
         with pytest.raises(InvalidFormat) as exc:
             parse_op(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("header", ["op 3 30000000", "op 2 100000000"])
+    def test_parse_op_rejects_huge_arity_fast(self, header):
+        size, arity = header.split()[1:]
+        start = time.perf_counter()
+        with pytest.raises(InvalidFormat) as exc:
+            parse_op(header + "\n0\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"expected {size}^{arity} values, found 1"
 
 
 class TestOperationExpr:

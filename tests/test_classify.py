@@ -2,6 +2,8 @@ import inspect
 import random
 from itertools import product
 
+import pytest
+
 from corpus import random_special_trees, relabel
 from hcolor import classify, cli
 from hcolor.classify import (
@@ -18,7 +20,13 @@ from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
 from hcolor.errors import InvalidSpec
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
-from hcolor.spectree import SpecialTreeSpec, canned_triad, compile_tree, spec_from_core
+from hcolor.spectree import (
+    SpecialTreeSpec,
+    canned_triad,
+    compile_tree,
+    recover_top_bottom,
+    spec_from_core,
+)
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 
@@ -116,11 +124,22 @@ class TestIdempotentPower:
 
 class TestSpecFromCore:
     def test_round_trip_on_special_tree(self):
-        spec = canned_triad()
-        g = compile_tree(spec).digraph
-        back = spec_from_core(g)
-        assert back.height == spec.height
-        assert len(back.template_edges) == len(spec.template_edges)
+        for spec in [canned_triad()] + random_special_trees(25):
+            back = spec_from_core(compile_tree(spec).digraph)
+            assert back == SpecialTreeSpec(
+                spec.a_count, spec.b_count, spec.height,
+                tuple(sorted(spec.template_edges, key=lambda e: e[:2])))
+
+    def test_non_special_rejected(self):
+        # 0->1<-2 with 0->3->4->5 returns to level 0; 0->1->2->3 with
+        # 4->3, 4->5 hangs a path between the top vertices 3 and 5
+        for edges in ([(0, 1), (2, 1), (0, 3), (3, 4), (4, 5)],
+                      [(0, 1), (1, 2), (2, 3), (4, 3), (4, 5)]):
+            g = Digraph.from_edges(6, edges)
+            with pytest.raises(InvalidSpec):
+                spec_from_core(g)
+            with pytest.raises(InvalidSpec):
+                recover_top_bottom(g, 3)
 
 
 class TestClassify:

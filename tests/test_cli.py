@@ -37,6 +37,14 @@ class TestBuild:
         assert len(roles) == 39
         assert roles[0] == "0 A0"
 
+    def test_bad_tree_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.stree"
+        path.write_text("stree 1 1 1 1\n0 0\n")
+        assert main(["build", "--tree", str(path), "--out", str(tmp_path / "t.dg")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad edge line: '0 0'\n"
+        assert not (tmp_path / "t.dg").exists()
+
 
 class TestSolve:
     def test_edge_to_edge(self, edge_file, capsys):

@@ -19,7 +19,7 @@ from hcolor.digraph import (
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
 from hcolor.minpath import OrientedPath
-from reference import power_tuple
+from reference import power_tuple, two_walk_levels
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 TWO_CYCLE = Digraph.from_edges(2, [(0, 1), (1, 0)])
@@ -66,6 +66,37 @@ class TestLevels:
             g = Digraph.from_edges(n, edges)
             assert is_oriented_tree(g)
             compute_levels(g)
+
+
+    def test_matches_two_walk_reference(self):
+        import random
+
+        def balanced(g):
+            for part in connected_components(g):
+                index = {v: i for i, v in enumerate(sorted(part))}
+                try:
+                    compute_levels(Digraph.from_edges(len(part), [
+                        (index[u], index[v]) for u, v in g.edges if u in index]))
+                except NotBalanced:
+                    return False
+            return True
+
+        rng = random.Random(18)
+        kinds = set()
+        for _ in range(600):
+            n = rng.randint(0, 8)
+            density = rng.choice((0.1, 0.2, 0.35))
+            g = Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                       if rng.random() < density])
+            outcomes = []
+            for levels in (compute_levels, two_walk_levels):
+                try:
+                    outcomes.append(levels(g))
+                except (ValueError, NotBalanced) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], g
+            kinds.add((n > 0 and not is_connected(g), balanced(g)))
+        assert kinds == {(False, True), (False, False), (True, True), (True, False)}
 
 
 class TestComponents:

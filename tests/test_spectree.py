@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hcolor.digraph import is_oriented_tree
-from hcolor.errors import InvalidSpec, MixedLevels
+from hcolor.errors import InvalidFormat, InvalidSpec, MixedLevels
 from hcolor.minpath import OrientedPath, is_minimal
 from hcolor.spectree import (
     SpecialTreeSpec,
@@ -267,3 +267,19 @@ class TestStreeFormat:
     def test_single_edge_forced(self):
         spec = gen_random_special_tree(9, 1, 1, 1, 1)
         assert spec == one_edge_spec()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty template file"),
+        ("# only a comment\n", "empty template file"),
+        ("strees 1 1 1 1\n0 0 1\n", "bad header line: 'strees 1 1 1 1'"),
+        ("stree 1 1 1\n0 0 1\n", "bad header line: 'stree 1 1 1'"),
+        ("stree 1 1 x 1\n0 0 1\n", "bad header numbers: 'stree 1 1 x 1'"),
+        ("stree 1 1 1 2\n0 0 1\n", "expected 2 edge lines, found 1"),
+        ("stree 1 1 1 1\n0 0\n", "bad edge line: '0 0'"),
+        ("stree 1 1 1 1\nx 0 1\n", "bad edge line: 'x 0 1'"),
+        ("stree 1 1 1 1\n0 0 12\n", "bad edge line: '0 0 12'"),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(InvalidFormat) as exc:
+            parse_stree(text)
+        assert str(exc.value) == message
