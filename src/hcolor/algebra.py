@@ -52,7 +52,7 @@ class OperationTable:
     def __post_init__(self) -> None:
         if len(self.values) != self.size ** self.arity:
             raise ValueError("value array length must be size ** arity")
-        if any(not 0 <= v < self.size for v in self.values):
+        if self.values and not (min(self.values) >= 0 and max(self.values) < self.size):
             raise ValueError("table value out of range")
 
     def apply(self, args) -> int:
@@ -837,7 +837,8 @@ def parse_op(text: str) -> OperationTable:
         raise InvalidFormat("bad operation file") from exc
     if size < 0 or arity < 0:
         raise InvalidFormat(f"negative size or arity: {lines[0]!r}")
-    if size >= 2 and arity > len(values).bit_length():  # size ** arity > len, not computed
+    if size >= 2 and arity * size.bit_length() > 10_000:
+        # size ** arity is over 2 ** 5000, so not len: not computed, nor formatted
         raise InvalidFormat(f"expected {size}^{arity} values, found {len(values)}")
     if len(values) != size ** arity:
         raise InvalidFormat(f"expected {size ** arity} values, found {len(values)}")

@@ -12,6 +12,7 @@ against.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -271,14 +272,14 @@ class PowerWalk:
             if ins:
                 steps += [(r, ins) for r in in_rows[row]]
 
-    def isolated(self, linked: tuple[int, ...]) -> list[int]:
+    def isolated(self, linked: tuple[int, ...]) -> array:
         """Mark visited and return, ascending, every unvisited tuple with no
         power edge either way and no merge link (`linked[hi]` masks the
         linked `lo`s of each row): each is a component of its own.  Works a
         row at a time on masks of such `lo`s."""
         split, visited = self.split, self.visited
         full = (1 << split) - 1
-        lone: list[int] = []
+        lone = array("q")  # unboxed: there can be millions
         for row, (outs, ins) in enumerate(zip(self.out_rows, self.in_rows)):
             iso = ((self.no_out if outs else full) & (self.no_in if ins else full)
                    & ~(linked[row] | visited[row]))

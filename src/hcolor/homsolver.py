@@ -222,12 +222,17 @@ def arc_consistency(inst: CspInstance) -> CspInstance | None:
 
     Sound: a value participating in any solution is never removed.
     """
+    domains = _narrowed(inst)
+    return None if domains is None else CspInstance(tuple(domains), inst.relation, inst.succ)
+
+
+def _narrowed(inst: CspInstance) -> list[int] | None:
+    """A fresh list of the instance's domains at the support-filtering
+    fixpoint, or None when some domain is or becomes empty."""
     domains = list(inst.domains)
-    if any(d == 0 for d in domains):
+    if 0 in domains or not _ac_fixpoint(domains, inst):
         return None
-    if not _ac_fixpoint(domains, inst):
-        return None
-    return CspInstance(tuple(domains), inst.relation, inst.succ)
+    return domains
 
 
 class _NodeCounter:
@@ -329,11 +334,12 @@ def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> lis
 
 
 def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[int, ...] | None:
-    """Backtracking with support filtering at every node."""
-    reduced = arc_consistency(inst)
-    if reduced is None:
+    """Backtracking with support filtering at every node, on one domain
+    list: the first fixpoint and the search both change it in place."""
+    domains = _narrowed(inst)
+    if domains is None:
         return None
-    found = _search(list(reduced.domains), inst, _NodeCounter(node_budget))
+    found = _search(domains, inst, _NodeCounter(node_budget))
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)

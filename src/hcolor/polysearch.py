@@ -23,6 +23,11 @@ components built and solved, in the same order.  Classes are numbered by
 their smallest tuple, so every sub-instance, and hence every table found,
 is the one the full construction gives.
 
+A tuple -> class dict lives only inside `_LazyIndicator.close` (and, for
+the pin tuples, `pinned_components`), never while solving: a component
+keeps its tuples as an `array` in class order and their classes as a list,
+or as a `range` when each class is one tuple.
+
 Most remaining components of a top-and-bottom WNU search on a special tree
 are lone tuples: no power edge either way, no merge partner.  They all
 have one sub-instance (one variable, full domain, no constraint), so
@@ -33,9 +38,11 @@ order as with one component each.
 
 Many components of one search are the same sub-instance (same domains,
 same constraints, and within a search the same relation), so each search
-keeps a memo from sub-instance to assignment and builds and solves each
-distinct one once.  The key, the domains and each class's sorted successor
-classes, is the sub-instance's `domains` and `succ`.  This is exact:
+keeps a memo from sub-instance to assignment and solves each distinct one
+once.  The sub-instance is its `succ` (each class's sorted successor
+classes) and its `domains`; the memo is keyed by `succ` first, when
+`close` builds it, so that equal successor lists share one copy while their
+components wait to be solved, and then by the domains.  This is exact:
 `solve_instance` is deterministic and starts a fresh node count on every
 call, so an identical instance gets the identical answer under any node
 budget.  The memo lives for one search only, and the assembled table is
@@ -50,6 +57,7 @@ no walk with the lazy path.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -310,19 +318,21 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
 class _Component:
     """One weakly connected component of the quotient, with its classes
     numbered by smallest tuple; or the group of lone tuples, its first
-    tuple standing for all of them."""
+    tuple standing for all of them.  It holds no tuple -> class map, and
+    its domains and memo entry only until `_LazyIndicator.solve`."""
 
-    __slots__ = ("class_of", "heads", "domains", "lone")
+    __slots__ = ("tuples", "classes", "domains", "memo", "lone")
 
-    def __init__(self, class_of: dict[int, int], heads: list[int], domains: list[int],
-                 lone: list[int] | tuple = ()):
-        self.class_of = class_of  # tuple -> class, each class's tuples together, in class order
-        self.heads = heads        # smallest tuple of each class, ascending
-        self.domains = domains    # per class
-        self.lone = lone          # the group's tuples, else empty
+    def __init__(self, tuples: array, classes: range | list[int], domains: list[int],
+                 memo: tuple[tuple, dict], lone: array | tuple = ()):
+        self.tuples = tuples    # in class order, each class's smallest tuple first
+        self.classes = classes  # class of each tuple; the ranks when no merge link
+        self.domains: list[int] | None = domains  # per class
+        self.memo: tuple[tuple, dict] | None = memo  # the search's entry for its successor lists
+        self.lone = lone        # the group's tuples, else empty
 
     def order(self) -> tuple[int, int]:
-        return (len(self.heads), self.heads[0])
+        return (self.classes[-1] + 1, self.tuples[0])
 
 
 class _LazyIndicator:
@@ -337,47 +347,85 @@ class _LazyIndicator:
         self.walk = PowerWalk(h, sys.arity)
         self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
         self.rel = edge_relation(h)
-        self.solutions: dict[tuple, tuple[int, ...] | None] = {}  # sub-instance -> answer
+        # sub-instance -> answer: succ -> (one shared succ, domains -> answer)
+        self.solutions: dict[tuple, tuple[tuple, dict]] = {}
 
     def close(self, start: int) -> _Component:
         """The unvisited component of `start`, over power edges both ways and
-        merges, with unrestricted domains."""
+        merges, with unrestricted domains and its successor lists."""
         tuples, partners = self.walk.visit([start], self.merges)
-        class_of: dict[int, int] = {}
-        heads: list[int] = []
-        for t in sorted(tuples):
+        class_of, count = {}, 0  # tuple -> class, class count
+        tuples.sort()
+        for t in tuples:
             if t in class_of:
                 continue
-            c = class_of[t] = len(heads)
-            heads.append(t)
+            c = class_of[t] = count
+            count += 1
             stack = [t] if t in partners else []
             while stack:
                 for w in partners.get(stack.pop(), ()):
                     if w not in class_of:
                         class_of[w] = c
                         stack.append(w)
-        return _Component(class_of, heads, [(1 << self.n) - 1] * len(heads))
+        del tuples, partners  # before the successor lists are built
+        ranks = count == len(class_of)
+        return self.component(array("q", class_of),
+                              range(count) if ranks else list(class_of.values()),
+                              self.successors(class_of, ranks))
+
+    def component(self, tuples: array, classes: range | list[int],
+                  succ: tuple[tuple[int, ...], ...], lone: array | tuple = ()) -> _Component:
+        """A component with unrestricted domains and the memo entry of its
+        successor lists, made here if new (so each list is hashed once)."""
+        entry = self.solutions.get(succ)
+        if entry is None:
+            entry = self.solutions[succ] = (succ, {})
+        return _Component(tuples, classes, [(1 << self.n) - 1] * (classes[-1] + 1), entry, lone)
+
+    def successors(self, class_of: dict[int, int], ranks: bool) -> tuple[tuple[int, ...], ...]:
+        """Each class's successor classes, ascending; `class_of` lists each
+        class's tuples together, in class order.  With `ranks` (every class
+        one tuple, numbered in tuple order) a tuple's successors come out of
+        the walk's ascending lists already ascending and distinct."""
+        split, bases, lows = self.walk.split, self.out_bases, self.walk.out_lows
+        succ: list[tuple[int, ...]] = []
+        if ranks:
+            for t in class_of:
+                hi, lo = divmod(t, split)
+                low = lows[lo]
+                succ.append(tuple([class_of[a + b] for a in bases[hi] for b in low]))
+            return tuple(succ)
+        targets: list[int] = []
+        for t, c in class_of.items():
+            if c > len(succ):
+                succ.append(tuple(sorted(set(targets))))
+                targets = []
+            hi, lo = divmod(t, split)
+            low = lows[lo]
+            targets += [class_of[a + b] for a in bases[hi] for b in low]
+        succ.append(tuple(sorted(set(targets))))
+        return tuple(succ)
 
     def pinned_components(self) -> list[_Component]:
         """Every component holding a pinned tuple, pins applied; raises
         InconsistentPins before any of them could be solved."""
         pins = list(_pin_targets(self.sys, self.n))
         comps: list[_Component] = []
-        where = dict.fromkeys((t for t, _ in pins), -1)  # tuple -> component
+        where = dict.fromkeys(t for t, _ in pins)  # tuple -> (component, class)
         for start, _ in pins:
-            if where[start] < 0:  # not in an earlier pinned component
+            if where[start] is None:  # not in an earlier pinned component
                 comp = self.close(start)
-                for t in comp.class_of:
+                for t, c in zip(comp.tuples, comp.classes):
                     if t in where:
-                        where[t] = len(comps)
+                        where[t] = (len(comps), c)
                 comps.append(comp)
         forced: dict[tuple[int, int], int] = {}
         for t, val in pins:
-            comp = comps[where[t]]
-            cls = (where[t], comp.class_of[t])
+            ci, c = cls = where[t]
             if forced.setdefault(cls, val) != val:
-                raise InconsistentPins(f"class of tuple {comp.heads[cls[1]]} pinned "
-                                       f"to both {forced[cls]} and {val}")
+                comp = comps[ci]  # a class's run starts at its smallest tuple
+                raise InconsistentPins(f"class of tuple {comp.tuples[comp.classes.index(c)]} "
+                                       f"pinned to both {forced[cls]} and {val}")
         for (ci, c), val in forced.items():
             comps[ci].domains[c] = 1 << val
         return comps
@@ -385,7 +433,7 @@ class _LazyIndicator:
     def remaining_components(self) -> list[_Component]:
         """Every unvisited component, the lone tuples as one group."""
         lone = self.walk.isolated(self.merges[0])
-        comps = [_Component({lone[0]: 0}, lone[:1], [(1 << self.n) - 1], lone)] if lone else []
+        comps = [self.component(lone[:1], range(1), ((),), lone)] if lone else []
         visited, split = self.walk.visited, self.walk.split
         full = (1 << split) - 1
         for row in range(len(visited)):
@@ -395,24 +443,15 @@ class _LazyIndicator:
 
     def solve(self, comp: _Component, node_budget: int | None) -> tuple[int, ...] | None:
         """The component's assignment, or None; each distinct sub-instance
-        is built and solved once."""
-        class_of, split = comp.class_of, self.walk.split
-        bases, lows = self.out_bases, self.walk.out_lows
-        succ: list[tuple[int, ...]] = []
-        targets: list[int] = []
-        for t, c in class_of.items():  # each class's tuples come together, in class order
-            if c > len(succ):
-                succ.append(tuple(sorted(set(targets))))
-                targets = []
-            hi, lo = divmod(t, split)
-            low = lows[lo]
-            targets += [class_of[a + b] for a in bases[hi] for b in low]
-        succ.append(tuple(sorted(set(targets))))
-        key = (tuple(comp.domains), tuple(succ))
-        found = self.solutions.get(key, _UNSOLVED)
+        is solved once.  The component lets go of its domains and memo
+        entry."""
+        succ, answers = comp.memo
+        domains = tuple(comp.domains)
+        comp.domains = comp.memo = None
+        found = answers.get(domains, _UNSOLVED)
         if found is _UNSOLVED:
-            found = self.solutions[key] = solve_instance(
-                CspInstance(key[0], self.rel, key[1]), node_budget)
+            found = answers[domains] = solve_instance(CspInstance(domains, self.rel, succ),
+                                                      node_budget)
         return found
 
 
@@ -431,7 +470,7 @@ def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
             solved.append((comp, found))
     values = [0] * lazy.total  # after solving, so a refuted search never allocates it
     for comp, found in solved:
-        for t, c in comp.class_of.items():
+        for t, c in zip(comp.tuples, comp.classes):
             values[t] = found[c]
         for t in comp.lone:
             values[t] = found[0]

@@ -82,6 +82,17 @@ class TestOperationTable:
         t = OperationTable(2, 2, (0, 1, 1, 0))  # xor
         assert t(0, 1) == 1 and t(1, 1) == 0
 
+    @pytest.mark.parametrize("size, arity, values", [
+        (2, 2, (0, 1, -1, 0)), (2, 1, (2, 0)), (3, 1, (0, 3, 1)), (1, 2, (1,))])
+    def test_values_out_of_range(self, size, arity, values):
+        with pytest.raises(ValueError) as exc:
+            OperationTable(size, arity, values)
+        assert str(exc.value) == "table value out of range"
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_empty_table(self, arity):
+        assert OperationTable(0, arity, ()).values == ()
+
     def test_op_format_round_trip(self):
         assert parse_op(format_op(BOOL_MAJORITY)) == BOOL_MAJORITY
 
@@ -92,6 +103,8 @@ class TestOperationTable:
         ("op 2\n0\n", "bad header line: 'op 2'"),
         ("op 2 x\n0\n", "bad operation file"),
         ("op 2 2\n0\n1\n1\n", "expected 4 values, found 3"),
+        ("op 3 1\n0\n1\n", "expected 3 values, found 2"),
+        ("op 2 3\n0\n1\n", "expected 8 values, found 2"),
         ("op 2 1\n0\n2\n", "table value out of range"),
         ("op 2 -1\n", "negative size or arity: 'op 2 -1'"),
         ("op -2 2\n0\n0\n0\n0\n", "negative size or arity: 'op -2 2'"),
@@ -109,6 +122,15 @@ class TestOperationTable:
             parse_op(header + "\n0\n")
         assert time.perf_counter() - start < 1.0
         assert str(exc.value) == f"expected {size}^{arity} values, found 1"
+
+    def test_parse_op_rejects_huge_size_without_formatting_the_count(self):
+        # 9...9 ** 2 has 6,000 digits, past the int-to-str limit
+        size = "9" * 3000
+        start = time.perf_counter()
+        with pytest.raises(InvalidFormat) as exc:
+            parse_op(f"op {size} 2\n0\n0\n")
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"expected {size}^2 values, found 2"
 
 
 class TestOperationExpr:

@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import random
 import subprocess
@@ -564,12 +565,19 @@ class TestMergeTableMemory:
         # stopped at its first call.
         core = compute_core(compile_tree(canned_triad()).digraph).core
         n = core.vertex_count
-        starts = []
+        starts, solving = [], []
+        solve = polysearch._LazyIndicator.solve
+
+        def recording(lazy, comp, node_budget):
+            solving.append(comp)
+            return solve(lazy, comp, node_budget)
 
         def stop(inst, node_budget=None):
-            starts.append(inst.variable_count)
+            starts.append((inst.variable_count, tracemalloc.get_traced_memory()[0],
+                           [type(x) for x in gc.get_referents(solving[-1])]))
             raise _Stop
 
+        monkeypatch.setattr(polysearch._LazyIndicator, "solve", recording)
         monkeypatch.setattr(polysearch, "solve_instance", stop)
         polysearch._merge_tables.cache_clear()
         tracemalloc.start()
@@ -579,8 +587,14 @@ class TestMergeTableMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert starts == [33_843]
+        [(variables, current, held)] = starts
+        assert variables == 33_843
         assert peak < 20_000_000, peak
+        # the component keeps its tuples and classes as flat sequences: no
+        # tuple -> class dict outlives the build (with one per component,
+        # 7.5 MB were live here)
+        assert dict not in held, held
+        assert current < 5_500_000, current
         # a rule reading costs a row entry (mask and base) per row and an
         # addend per lo, not an entry per merged pair (59,319 here)
         linked, rules = polysearch._merge_tables(siggers_system(), n)
@@ -675,6 +689,35 @@ class TestWorkCounts:
             lambda h=h: find_majority(h), lambda h=h: find_siggers(h))]
         assert len(graphs) == 22
         assert self.counts(monkeypatch, searches) == (516, 191, 1090)
+
+
+class TestSuccessorLists:
+    """A component whose classes are the ranks of its tuples takes each
+    tuple's successors as they come; the general loop sorts and dedups."""
+
+    def ranked(self, searches) -> tuple[int, int]:
+        """(components, rank components) of the searches; every component's
+        successor lists are checked against the general loop's."""
+        total = ranked = 0
+        for h, sys_ in searches:
+            lazy = polysearch._LazyIndicator(h, sys_, polysearch.DEFAULT_INDICATOR_BUDGET)
+            for comp in lazy.pinned_components() + lazy.remaining_components():
+                class_of = dict(zip(comp.tuples, comp.classes))
+                assert comp.memo[0] == lazy.successors(class_of, False)
+                total += 1
+                ranked += isinstance(comp.classes, range)
+        return total, ranked
+
+    def test_top_bottom_wnu_on_corpus_trees(self):
+        trees = [compile_tree(spec) for spec in random_special_trees(25)]
+        assert self.ranked((t.digraph, top_bottom_system(t)) for t in trees) == (4586, 4564)
+
+    def test_four_vertex_slice(self):
+        kinds = ("wnu2", "wnu3", "majority", "siggers")
+        searches = [(h, DENSE_SYSTEMS[k](h)) for h in loopless_digraphs_up_to_iso(4)[::10]
+                    for k in kinds]
+        assert len(searches) == 88
+        assert self.ranked(searches) == (554, 166)
 
 
 class TestEmptyTarget:
