@@ -39,7 +39,7 @@ from .errors import (
     NotBalanced,
     VerificationFailed,
 )
-from .homsolver import is_homomorphism, solve_hom
+from .homsolver import CspInstance, build_instance, is_homomorphism, solve_hom, solve_instance
 from .polysearch import (
     DEFAULT_INDICATOR_BUDGET,
     find_majority,
@@ -94,11 +94,21 @@ def _check_hom(x: Digraph, h: Digraph, mapping: tuple[int, ...], what: str) -> N
 
 
 def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...] | None:
-    """An endomorphism identifying some vertex pair, or None.
+    """An endomorphism identifying some vertex pair, or None when g is a core.
 
-    On connected balanced digraphs endomorphisms preserve levels exactly,
-    so only same-level pairs can ever merge.
+    g is a core iff every endomorphism is onto (Hell and Nesetril, 1992), so
+    one refuted probe per vertex w, for an endomorphism avoiding w,
+    certifies it; the probes share one relation and its memos.  Only a
+    non-core goes on to the sweep, which picks the first vertex pair an
+    endomorphism identifies.  On connected balanced digraphs endomorphisms
+    preserve levels exactly, so only same-level pairs can ever merge.
     """
+    inst = build_instance(g, g)
+    full = (1 << g.vertex_count) - 1
+    avoiding = (CspInstance((full & ~(1 << w),) * g.vertex_count, inst.relation, inst.succ)
+                for w in range(g.vertex_count))
+    if all(solve_instance(probe, node_budget) is None for probe in avoiding):
+        return None
     levels = _level_groups(g)
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
@@ -129,8 +139,9 @@ def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     """Iterated proper retractions down to a structure with none left.
 
     Each step finds a vertex-identifying endomorphism, converts it into an
-    idempotent retraction, and restricts to its image; the final exhaustive
-    failed sweep certifies minimality.
+    idempotent retraction, and restricts to its image; the last round's n
+    vertex-avoidance refutations certify minimality, and the pair sweep
+    only picks each retraction (see `_proper_endomorphism`).
     """
     current = g
     overall = tuple(range(g.vertex_count))  # original vertex -> current vertex
@@ -160,7 +171,7 @@ class ClassificationReport:
     """Classifier outcome.
 
     is_core records that the Taylor decision ran on a certified core
-    (compute_core finished and its minimality sweep passed).
+    (compute_core finished and its minimality certificate passed).
     """
 
     input_summary: dict

@@ -4,18 +4,19 @@ Variables carry bitmask domains over target vertices.  An instance has one
 binary relation (the target's edge relation) and gives its constraints as
 successor lists: each v in succ[u] asks for (value of u, value of v) in
 that relation.  Arc consistency queues variables, not pairs, and filters a
-popped variable's neighbours through the relation's memoized images and
-preimages.  A full call queues first the variables whose domain is not
-every value (pins and self-loop filtering), runs until that wave dies out,
-and then queues, in index order, every variable it never reached; a search
-node's call queues only the variables the node changed.  The closure is
-unique, so the order changes the work, never the domains.  Everything is
-deterministic: fixed variable order (smallest domain, lowest index) and
-ascending value order.  The search works on one domain list in place: each
-frame records the old domains of the variables its node changed and
-restores them on backtracking, and the branching variable comes from one
-lazy min-heap of variables per domain size, which holds each variable at
-most once.
+popped variable's successors through the relation's memoized images, then
+its predecessors through the memoized preimages, in two written-out blocks;
+calls on one relation share its memos.  A full call queues first the
+variables whose domain is not every value (pins and self-loop filtering),
+runs until that wave dies out, and then queues, in index order, every
+variable it never reached; a search node's call queues only the variables
+the node changed.  The closure is unique, so the order changes the work,
+never the domains.  Everything is deterministic: fixed variable order
+(smallest domain, lowest index) and ascending value order.  The search
+works on one domain list in place: each frame records the old domains of
+the variables its node changed and restores them on backtracking, and the
+branching variable comes from one lazy min-heap of variables per domain
+size, which holds each variable at most once.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
         sweep_left = False
     # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped,
     # 3: not reached yet by a full call's first wave (never recorded)
-    sides = ((succs, rel.images, rel.fwd), (preds, rel.preimages, rel.rev))
+    images, preimages, fwd, rev = rel.images, rel.preimages, rel.fwd, rel.rev
     while True:
         for x in queue:
             state[x] = 1
@@ -190,17 +191,34 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
             x = queue.popleft()
             state[x] = 2
             dx = domains[x]
-            for side, memo, rows in sides:
-                nbrs = side[x]
-                if not nbrs:
-                    continue
-                support = memo.get(dx)
+            nbrs = succs[x]
+            if nbrs:
+                support = images.get(dx)
                 if support is None:
-                    support = memo[dx] = _union(rows, dx)
+                    support = images[dx] = _union(fwd, dx)
                 for y in nbrs:
                     dy = domains[y]
-                    if dy & ~support:
-                        narrowed = dy & support
+                    narrowed = dy & support
+                    if narrowed != dy:
+                        if not narrowed:
+                            return False
+                        domains[y] = narrowed
+                        seen = state[y]
+                        if seen != 1:
+                            if not seen:
+                                changed.append(y)
+                                olds.append(dy)
+                            state[y] = 1
+                            queue.append(y)
+            nbrs = preds[x]
+            if nbrs:
+                support = preimages.get(dx)
+                if support is None:
+                    support = preimages[dx] = _union(rev, dx)
+                for y in nbrs:
+                    dy = domains[y]
+                    narrowed = dy & support
+                    if narrowed != dy:
                         if not narrowed:
                             return False
                         domains[y] = narrowed

@@ -393,17 +393,18 @@ class _LazyIndicator:
             for t in class_of:
                 hi, lo = divmod(t, split)
                 low = lows[lo]
-                succ.append(tuple([class_of[a + b] for a in bases[hi] for b in low]))
+                succ.append(tuple([class_of[a + b] for a in bases[hi] for b in low]) if low else ())
             return tuple(succ)
         targets: list[int] = []
         for t, c in class_of.items():
             if c > len(succ):
-                succ.append(tuple(sorted(set(targets))))
+                succ.append(tuple(sorted(set(targets))) if len(targets) > 1 else tuple(targets))
                 targets = []
             hi, lo = divmod(t, split)
             low = lows[lo]
-            targets += [class_of[a + b] for a in bases[hi] for b in low]
-        succ.append(tuple(sorted(set(targets))))
+            if low:  # an empty list adds nothing: skip the comprehension
+                targets += [class_of[a + b] for a in bases[hi] for b in low]
+        succ.append(tuple(sorted(set(targets))) if len(targets) > 1 else tuple(targets))
         return tuple(succ)
 
     def pinned_components(self) -> list[_Component]:

@@ -1,7 +1,7 @@
 """Deterministic corpora shared by the test suites."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 from hcolor.digraph import Digraph
 from hcolor.spectree import compile_tree, gen_random_special_tree
@@ -44,6 +44,13 @@ def random_tree_like(rng: random.Random, max_n: int) -> Digraph:
         u = rng.randrange(v)
         edges.append((u, v) if rng.random() < 0.5 else (v, u))
     return Digraph.from_edges(n, edges)
+
+
+def all_digraphs(n: int) -> list[Digraph]:
+    """Every digraph on n vertices, loops included."""
+    pairs = list(product(range(n), repeat=2))
+    return [Digraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            for bits in range(1 << len(pairs))]
 
 
 def loopless_digraphs_up_to_iso(n: int) -> list[Digraph]:

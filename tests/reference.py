@@ -9,8 +9,10 @@ keeps its open variables for `open_branch_var` to pick among.
 queue was seeded from the narrowed variables: every variable queued in
 index order.  `two_walk_levels` is `compute_levels` as it was before it
 walked the digraph once: a connectivity check, then a level walk that
-shifts each component.  `power_tuple` and `net_length` invert `power_index` and
-measure a path.
+shifts each component.  `sweep_core` is `compute_core` as it was before
+one vertex-avoidance probe per vertex certified a core: every round,
+including the last, sweeps the vertex pairs.  `power_tuple` and
+`net_length` invert `power_index` and measure a path.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
 these tables by index arithmetic.
@@ -22,9 +24,10 @@ from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
+from hcolor.classify import CoreResult, _idempotent_power, _level_groups, _quotient
 from hcolor.digraph import Digraph, LevelAssignment, connected_components, power_index
 from hcolor.errors import BudgetExceeded, ConstructionStuck, NotBalanced
-from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union
+from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union, solve_hom
 from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -169,6 +172,37 @@ def two_walk_levels(g: Digraph) -> LevelAssignment:
             for v in comp:
                 levels[v] -= low
     return LevelAssignment(tuple(levels), max(levels, default=0))
+
+
+def sweep_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
+    """Iterated retractions, each found by the first same-level vertex pair
+    (all pairs off a connected balanced digraph) that an endomorphism can
+    identify; the core is certified by a round whose sweep finds none."""
+    current = g
+    overall = tuple(range(g.vertex_count))
+    embedding = tuple(range(g.vertex_count))
+    while True:
+        levels = _level_groups(current)
+        n = current.vertex_count
+        endo = None
+        for u, v in ((u, v) for u in range(n) for v in range(u + 1, n)
+                     if levels is None or levels[u] == levels[v]):
+            q, mapping = _quotient(current, u, v)
+            hom = solve_hom(q, current, node_budget=node_budget)
+            if hom is not None:
+                endo = tuple(hom[mapping[w]] for w in range(n))
+                break
+        if endo is None:
+            break
+        retr = _idempotent_power(endo)
+        image = sorted(set(retr))
+        relabel = {w: i for i, w in enumerate(image)}
+        current = Digraph.from_edges(len(image), {
+            (relabel[a], relabel[b]) for a, b in current.edges
+            if a in relabel and b in relabel})
+        overall = tuple(relabel[retr[w]] for w in overall)
+        embedding = tuple(embedding[w] for w in image)
+    return CoreResult(current, overall, embedding)
 
 
 def power_tuple(base: int, n: int, idx: int) -> tuple[int, ...]:

@@ -3,9 +3,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_special_trees, relabel
-from hcolor import classify, cli
+from corpus import all_digraphs, random_special_trees, relabel
+from hcolor import classify, cli, homsolver
 from hcolor.classify import (
     BOUNDED_WIDTH,
     TAYLOR,
@@ -18,7 +20,7 @@ from hcolor.classify import (
 from hcolor.algebra import table_from_function
 from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
 from hcolor.errors import InvalidSpec
-from hcolor.homsolver import is_homomorphism
+from hcolor.homsolver import CspInstance, build_instance, is_homomorphism, solve_instance
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import (
     SpecialTreeSpec,
@@ -27,6 +29,7 @@ from hcolor.spectree import (
     recover_top_bottom,
     spec_from_core,
 )
+from reference import enumerate_homs, sweep_core
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 
@@ -100,6 +103,87 @@ class TestComputeCore:
         for dirs in ("1", "11", "11011", "1101011"):
             g = OrientedPath(dirs).to_digraph()
             assert compute_core(g).core.vertex_count == g.vertex_count
+
+
+def worst_sweep_tree() -> Digraph:
+    """The canned triad's template with the sweep's slowest paths attached."""
+    triad = canned_triad()
+    paths = ("111011", "111011", "110111", "11101011", "11101011", "11100111")
+    return compile_tree(SpecialTreeSpec(triad.a_count, triad.b_count, triad.height, tuple(
+        (a, b, OrientedPath(word)) for (a, b, _), word in zip(triad.template_edges, paths)
+    ))).digraph
+
+
+def avoidance_probes(g: Digraph) -> list[CspInstance]:
+    """For each vertex w, the endomorphisms of g that never take the value w."""
+    inst = build_instance(g, g)
+    full = (1 << g.vertex_count) - 1
+    return [CspInstance((full & ~(1 << w),) * g.vertex_count, inst.relation, inst.succ)
+            for w in range(g.vertex_count)]
+
+
+class TestCoreCertificate:
+    """`compute_core`, whose last round is certified by one vertex-avoidance
+    probe per vertex, against `sweep_core`, which sweeps every vertex pair
+    in every round: the same `CoreResult`."""
+
+    def test_every_digraph_up_to_three_vertices(self):
+        for n in range(4):
+            for g in all_digraphs(n):
+                assert compute_core(g) == sweep_core(g), sorted(g.edges)
+
+    def test_sampled_four_and_five_vertex_digraphs(self):
+        rng = random.Random(2020)
+        for n in (4, 5):
+            for _ in range(150):
+                g = Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                           if rng.random() < 0.3])
+                assert compute_core(g) == sweep_core(g), sorted(g.edges)
+
+    def test_trees(self):
+        folded = SpecialTreeSpec(2, 1, 2, ((0, 0, OrientedPath("11")),
+                                           (1, 0, OrientedPath("11"))))
+        specs = random_special_trees(25) + [canned_triad(), folded]
+        trees = [compile_tree(spec).digraph for spec in specs] + [worst_sweep_tree()]
+        for g in trees:
+            assert compute_core(g) == sweep_core(g)
+        assert compute_core(trees[-1]).core.vertex_count == 37
+
+    def test_triad_certificate_work(self, monkeypatch):
+        # one probe per vertex, each refuted by AC; a core never reaches the sweep
+        calls, nodes = [], []
+        real_solve, real_tick = classify.solve_instance, homsolver._NodeCounter.tick
+
+        def counting_solve(inst, node_budget=None):
+            calls.append(inst)
+            return real_solve(inst, node_budget)
+
+        def counting_tick(counter):
+            nodes.append(counter)
+            real_tick(counter)
+
+        monkeypatch.setattr(classify, "solve_instance", counting_solve)
+        monkeypatch.setattr(classify, "solve_hom", None)  # a core needs no sweep
+        monkeypatch.setattr(homsolver._NodeCounter, "tick", counting_tick)
+        g = compile_tree(canned_triad()).digraph
+        assert compute_core(g).core == g
+        assert len(calls) == 39 and not nodes
+
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_triad_core_under_node_budget(self, budget):
+        assert compute_core(compile_tree(canned_triad()).digraph,
+                            node_budget=budget).core.vertex_count == 39
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    def test_core_refutes_every_probe(self, graph):
+        n, edges = graph
+        core = compute_core(Digraph.from_edges(n, edges)).core
+        for probe in avoidance_probes(core):
+            assert solve_instance(probe) is None
+        # the oracle: every endomorphism of the core is onto
+        assert all(len(set(endo)) == core.vertex_count for endo in enumerate_homs(core, core))
 
 
 def brute_force_idempotent_power(endo: tuple[int, ...]) -> tuple[int, ...]:
