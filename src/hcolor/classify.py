@@ -27,7 +27,6 @@ from .algebra import (
 from .digraph import (
     DEFAULT_POWER_BUDGET,
     Digraph,
-    compute_levels,
     diagonal_component,
     power_index,
 )
@@ -36,10 +35,9 @@ from .errors import (
     ConstructionStuck,
     HcolorError,
     NoneFound,
-    NotBalanced,
     VerificationFailed,
 )
-from .homsolver import CspInstance, build_instance, is_homomorphism, solve_hom, solve_instance
+from .homsolver import CspInstance, build_instance, is_homomorphism, solve_instance
 from .polysearch import (
     DEFAULT_INDICATOR_BUDGET,
     find_majority,
@@ -73,53 +71,28 @@ class CoreResult:
     embedding: tuple[int, ...]  # core vertex -> original vertex
 
 
-def _quotient(g: Digraph, u: int, v: int) -> tuple[Digraph, tuple[int, ...]]:
-    """Identify v with u; parallel edges collapse."""
-    mapping = [w - (w > v) for w in range(g.vertex_count)]
-    mapping[v] = mapping[u]
-    edges = {(mapping[a], mapping[b]) for a, b in g.edges}
-    return Digraph.from_edges(g.vertex_count - 1, edges), tuple(mapping)
-
-
-def _level_groups(g: Digraph) -> list[int] | None:
-    try:
-        return list(compute_levels(g).levels)
-    except (NotBalanced, ValueError):
-        return None
-
-
 def _check_hom(x: Digraph, h: Digraph, mapping: tuple[int, ...], what: str) -> None:
     if not is_homomorphism(x, h, mapping):
         raise VerificationFailed(f"core step: {what} is not a homomorphism")
 
 
 def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...] | None:
-    """An endomorphism identifying some vertex pair, or None when g is a core.
+    """An endomorphism that is not onto, or None when g is a core.
 
-    g is a core iff every endomorphism is onto (Hell and Nesetril, 1992), so
-    one refuted probe per vertex w, for an endomorphism avoiding w,
-    certifies it; the probes share one relation and its memos.  Only a
-    non-core goes on to the sweep, which picks the first vertex pair an
-    endomorphism identifies.  On connected balanced digraphs endomorphisms
-    preserve levels exactly, so only same-level pairs can ever merge.
+    g is a core iff every endomorphism is onto (Hell and Nesetril, 1992).
+    For each vertex w in turn, one probe asks for an endomorphism that never
+    takes the value w; the probes share one relation and its memos.  The
+    first endomorphism found is re-checked and returned; when every probe
+    is refuted, the refutations certify that g is a core.
     """
     inst = build_instance(g, g)
     full = (1 << g.vertex_count) - 1
-    avoiding = (CspInstance((full & ~(1 << w),) * g.vertex_count, inst.relation, inst.succ)
-                for w in range(g.vertex_count))
-    if all(solve_instance(probe, node_budget) is None for probe in avoiding):
-        return None
-    levels = _level_groups(g)
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            if levels is not None and levels[u] != levels[v]:
-                continue
-            q, mapping = _quotient(g, u, v)
-            hom = solve_hom(q, g, node_budget=node_budget)
-            if hom is not None:
-                endo = tuple(hom[mapping[w]] for w in range(g.vertex_count))
-                _check_hom(g, g, endo, "endomorphism")
-                return endo
+    for w in range(g.vertex_count):
+        endo = solve_instance(CspInstance((full & ~(1 << w),) * g.vertex_count,
+                                          inst.relation, inst.succ), node_budget)
+        if endo is not None:
+            _check_hom(g, g, endo, "endomorphism")
+            return endo
     return None
 
 
@@ -138,10 +111,10 @@ def _idempotent_power(endo: tuple[int, ...]) -> tuple[int, ...]:
 def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     """Iterated proper retractions down to a structure with none left.
 
-    Each step finds a vertex-identifying endomorphism, converts it into an
-    idempotent retraction, and restricts to its image; the last round's n
-    vertex-avoidance refutations certify minimality, and the pair sweep
-    only picks each retraction (see `_proper_endomorphism`).
+    Each step takes the first vertex-avoiding endomorphism a probe finds,
+    converts it into an idempotent retraction, and restricts to its image;
+    the last round's n refuted probes certify minimality (see
+    `_proper_endomorphism`).
     """
     current = g
     overall = tuple(range(g.vertex_count))  # original vertex -> current vertex

@@ -10,9 +10,12 @@ queue was seeded from the narrowed variables: every variable queued in
 index order.  `two_walk_levels` is `compute_levels` as it was before it
 walked the digraph once: a connectivity check, then a level walk that
 shifts each component.  `sweep_core` is `compute_core` as it was before
-one vertex-avoidance probe per vertex certified a core: every round,
-including the last, sweeps the vertex pairs.  `power_tuple` and
-`net_length` invert `power_index` and measure a path.
+its vertex-avoidance probes both found and certified each retraction:
+every round, including the last, sweeps the same-level vertex pairs and
+retracts along the first pair an endomorphism identifies.  Its choice of
+retraction is arbitrary, so tests compare cores up to the maps between
+them.  `power_tuple` and `net_length` invert `power_index` and measure a
+path.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
 these tables by index arithmetic.
@@ -24,8 +27,14 @@ from itertools import product
 from math import factorial
 
 from hcolor.algebra import OperationTable, table_from_function
-from hcolor.classify import CoreResult, _idempotent_power, _level_groups, _quotient
-from hcolor.digraph import Digraph, LevelAssignment, connected_components, power_index
+from hcolor.classify import CoreResult, _idempotent_power
+from hcolor.digraph import (
+    Digraph,
+    LevelAssignment,
+    compute_levels,
+    connected_components,
+    power_index,
+)
 from hcolor.errors import BudgetExceeded, ConstructionStuck, NotBalanced
 from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union, solve_hom
 from hcolor.minpath import OrientedPath
@@ -174,6 +183,23 @@ def two_walk_levels(g: Digraph) -> LevelAssignment:
     return LevelAssignment(tuple(levels), max(levels, default=0))
 
 
+def quotient(g: Digraph, u: int, v: int) -> tuple[Digraph, tuple[int, ...]]:
+    """Identify v with u; parallel edges collapse."""
+    mapping = [w - (w > v) for w in range(g.vertex_count)]
+    mapping[v] = mapping[u]
+    edges = {(mapping[a], mapping[b]) for a, b in g.edges}
+    return Digraph.from_edges(g.vertex_count - 1, edges), tuple(mapping)
+
+
+def level_groups(g: Digraph) -> list[int] | None:
+    """The levels of a connected balanced digraph, else None: endomorphisms
+    of such a digraph preserve levels, so only same-level pairs can merge."""
+    try:
+        return list(compute_levels(g).levels)
+    except (NotBalanced, ValueError):
+        return None
+
+
 def sweep_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     """Iterated retractions, each found by the first same-level vertex pair
     (all pairs off a connected balanced digraph) that an endomorphism can
@@ -182,12 +208,12 @@ def sweep_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     overall = tuple(range(g.vertex_count))
     embedding = tuple(range(g.vertex_count))
     while True:
-        levels = _level_groups(current)
+        levels = level_groups(current)
         n = current.vertex_count
         endo = None
         for u, v in ((u, v) for u in range(n) for v in range(u + 1, n)
                      if levels is None or levels[u] == levels[v]):
-            q, mapping = _quotient(current, u, v)
+            q, mapping = quotient(current, u, v)
             hom = solve_hom(q, current, node_budget=node_budget)
             if hom is not None:
                 endo = tuple(hom[mapping[w]] for w in range(n))

@@ -10,6 +10,7 @@ from corpus import all_digraphs, random_special_trees, relabel
 from hcolor import classify, cli, homsolver
 from hcolor.classify import (
     BOUNDED_WIDTH,
+    CoreResult,
     TAYLOR,
     UNDETERMINED,
     classify_digraph,
@@ -19,8 +20,14 @@ from hcolor.classify import (
 )
 from hcolor.algebra import table_from_function
 from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
-from hcolor.errors import InvalidSpec
-from hcolor.homsolver import CspInstance, build_instance, is_homomorphism, solve_instance
+from hcolor.errors import BudgetExceeded, InvalidSpec
+from hcolor.homsolver import (
+    CspInstance,
+    build_instance,
+    is_homomorphism,
+    solve_hom,
+    solve_instance,
+)
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import (
     SpecialTreeSpec,
@@ -122,15 +129,36 @@ def avoidance_probes(g: Digraph) -> list[CspInstance]:
             for w in range(g.vertex_count)]
 
 
+def certificate_trees() -> list[Digraph]:
+    """The 25 corpus trees, the triad, a tree that folds, the worst sweep tree."""
+    folded = SpecialTreeSpec(2, 1, 2, ((0, 0, OrientedPath("11")),
+                                       (1, 0, OrientedPath("11"))))
+    specs = random_special_trees(25) + [canned_triad(), folded]
+    return [compile_tree(spec).digraph for spec in specs] + [worst_sweep_tree()]
+
+
+def assert_equivalent_core(g: Digraph, res: CoreResult, ref: CoreResult) -> None:
+    """res is a core of g with the reference's size, the two cores map to
+    each other both ways, and res's maps are a retraction onto its core and
+    an embedding that the retraction undoes."""
+    core, n = res.core, res.core.vertex_count
+    assert n == ref.core.vertex_count, sorted(g.edges)
+    assert solve_hom(core, ref.core) is not None and solve_hom(ref.core, core) is not None
+    assert is_homomorphism(g, core, res.retraction) and set(res.retraction) == set(range(n))
+    assert is_homomorphism(core, g, res.embedding)
+    assert all(res.retraction[res.embedding[c]] == c for c in range(n))
+
+
 class TestCoreCertificate:
-    """`compute_core`, whose last round is certified by one vertex-avoidance
-    probe per vertex, against `sweep_core`, which sweeps every vertex pair
-    in every round: the same `CoreResult`."""
+    """`compute_core`, which retracts along the first vertex-avoidance probe
+    that succeeds, against `sweep_core`, which retracts along the first
+    vertex pair an endomorphism identifies: the retractions may differ, the
+    cores may not."""
 
     def test_every_digraph_up_to_three_vertices(self):
         for n in range(4):
             for g in all_digraphs(n):
-                assert compute_core(g) == sweep_core(g), sorted(g.edges)
+                assert_equivalent_core(g, compute_core(g), sweep_core(g))
 
     def test_sampled_four_and_five_vertex_digraphs(self):
         rng = random.Random(2020)
@@ -138,19 +166,29 @@ class TestCoreCertificate:
             for _ in range(150):
                 g = Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n)
                                            if rng.random() < 0.3])
-                assert compute_core(g) == sweep_core(g), sorted(g.edges)
+                assert_equivalent_core(g, compute_core(g), sweep_core(g))
 
     def test_trees(self):
-        folded = SpecialTreeSpec(2, 1, 2, ((0, 0, OrientedPath("11")),
-                                           (1, 0, OrientedPath("11"))))
-        specs = random_special_trees(25) + [canned_triad(), folded]
-        trees = [compile_tree(spec).digraph for spec in specs] + [worst_sweep_tree()]
+        # on special trees both choices give the same labelled core and retraction
+        trees = certificate_trees()
         for g in trees:
-            assert compute_core(g) == sweep_core(g)
+            res, ref = compute_core(g), sweep_core(g)
+            assert_equivalent_core(g, res, ref)
+            assert (res.core, res.retraction) == (ref.core, ref.retraction)
         assert compute_core(trees[-1]).core.vertex_count == 37
 
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_node_budget_stops_or_changes_nothing(self, budget):
+        graphs = [g for n in range(4) for g in all_digraphs(n)] + certificate_trees()
+        for g in graphs:
+            try:
+                res = compute_core(g, node_budget=budget)
+            except BudgetExceeded:
+                continue
+            assert res == compute_core(g), sorted(g.edges)
+
     def test_triad_certificate_work(self, monkeypatch):
-        # one probe per vertex, each refuted by AC; a core never reaches the sweep
+        # one probe per vertex, each refuted by AC
         calls, nodes = [], []
         real_solve, real_tick = classify.solve_instance, homsolver._NodeCounter.tick
 
@@ -163,7 +201,6 @@ class TestCoreCertificate:
             real_tick(counter)
 
         monkeypatch.setattr(classify, "solve_instance", counting_solve)
-        monkeypatch.setattr(classify, "solve_hom", None)  # a core needs no sweep
         monkeypatch.setattr(homsolver._NodeCounter, "tick", counting_tick)
         g = compile_tree(canned_triad()).digraph
         assert compute_core(g).core == g

@@ -786,10 +786,9 @@ CORRUPTED_SOLVERS = """
 
     # 0 -> 1 <- 2 retracts onto one edge; corrupt each core step in turn
     vee = Digraph.from_edges(3, [(0, 1), (2, 1)])
-    solve_hom = classify.solve_hom
-    classify.solve_hom = lambda q, g, node_budget=None: (0,) * q.vertex_count
+    classify.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
     expect_failure(lambda: classify.compute_core(vee))
-    classify.solve_hom = solve_hom
+    classify.solve_instance = solve_instance
     classify._idempotent_power = lambda endo: (1, 1, 1)
     expect_failure(lambda: classify.compute_core(vee))
     classify._idempotent_power = lambda endo: (0, 1, 2)
