@@ -4,7 +4,10 @@ A core special tree either has no Siggers polymorphism (its coloring
 problem is NP-complete) or has one, in which case a Taylor special tree is
 congruence meet-semidistributive and the problem has bounded width.  The
 classifier computes the core, certifies it is again a special tree, runs
-the Siggers search on it, and reports the verdict with timings.
+the width searches (majority, 3-ary WNU) and the Siggers search on it, and
+reports the verdict with timings.  Every majority operation is an
+idempotent 3-ary WNU, so one WNU3 pinned component refuted on the core
+(`refuted_on_pins`) answers both width searches with "none".
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .polysearch import (
     find_siggers,
     find_wnu,
     find_wnu_on_top_bottom,
+    refuted_on_pins,
+    wnu_system,
 )
 from .spectree import (
     SpecialTree,
@@ -198,8 +203,12 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
               wall_budget: float | None) -> ClassificationReport:
     """Core, then (special trees only) width certificates, then Siggers.
 
-    Budget exhaustion folds into UNDETERMINED.  The wall budget is advisory:
-    it is consulted before each search only.
+    The width stage first probes the WNU3 indicator's pinned components: a
+    refuted one refutes the whole indicator and so every majority operation
+    too.  Otherwise, or when the probe runs out of budget, it searches for
+    majority, and for a WNU3 unless majority was found.  Budget exhaustion
+    folds into UNDETERMINED.  The wall budget is advisory: it is consulted
+    before each search (and the probe) only.
     """
     started = time.perf_counter()
     timings: dict[str, float] = {}
@@ -214,15 +223,19 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
         return ClassificationReport(summary, False, -1, "budget_exceeded", width,
                                     UNDETERMINED, timings, seeds)
 
-    def search(find, *args) -> str:
-        """Run one search on the core while the wall budget lasts."""
+    def run(find, *args):
+        """One search on the core while the wall budget lasts: its result,
+        or "budget_exceeded"."""
         if wall_budget is not None and time.perf_counter() - started >= wall_budget:
             return "budget_exceeded"
         try:
-            found = find(core, *args, indicator_budget, node_budget)
+            return find(core, *args, indicator_budget, node_budget)
         except BudgetExceeded:
             return "budget_exceeded"
-        return "none" if found is None else "found"
+
+    def search(find, *args) -> str:
+        found = run(find, *args)
+        return found if isinstance(found, str) else "none" if found is None else "found"
 
     if special:
         try:
@@ -233,10 +246,11 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
             return ClassificationReport(summary, True, core.vertex_count, "not_attempted",
                                         width, UNDETERMINED, timings, seeds)
         t0 = time.perf_counter()
-        width["majority"] = search(find_majority)
-        # a majority operation is itself a WNU
-        width["wnu3"] = (search(find_wnu, 3) if width["majority"] == "none"
-                         else width["majority"])
+        if run(refuted_on_pins, wnu_system(3)) is True:
+            width["majority"] = width["wnu3"] = "none"
+        else:
+            width["majority"] = search(find_majority)
+            width["wnu3"] = "found" if width["majority"] == "found" else search(find_wnu, 3)
         timings["width_certificates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

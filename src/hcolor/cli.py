@@ -1,13 +1,15 @@
 """Command-line entry point: file formats, searches, classification, reports.
 
 Exit codes: 0 found / true / pass, 1 none / false / refuted, 2 usage or
-input error, 3 budget exceeded or undetermined.
+input error, 3 budget exceeded or undetermined.  A closed stdout ends the
+process by SIGPIPE with no message, as it does `cat`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .algebra import format_op, write_op
@@ -324,6 +326,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

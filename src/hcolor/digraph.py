@@ -6,8 +6,6 @@ construction; every function here is pure.
 Powers are walked a row of tuples at a time: `PowerWalk` keeps one int
 mask of visited tuples per row, and both `diagonal_component` and the
 polymorphism searches' lazy indicator explore the power through it.
-`direct_power` builds a whole power and is the reference they are tested
-against.
 """
 
 from __future__ import annotations
@@ -147,29 +145,6 @@ def power_index(base: int, tup: tuple[int, ...]) -> int:
     for v in tup:
         idx = idx * base + v
     return idx
-
-
-def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digraph:
-    """The n-th direct power: tuples as vertices, coordinatewise edges."""
-    if n < 1:
-        raise ValueError("power must be positive")
-    size = g.vertex_count ** n
-    if size > budget:
-        raise BudgetExceeded(f"{size} tuples exceed the power budget {budget}")
-    base = g.vertex_count
-    edges: list[tuple[int, int]] = []
-    # Build edge tuples incrementally: a power edge picks one base edge
-    # per coordinate.
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]  # (depth, tail_idx, head_idx)
-    es = g.edges_sorted
-    while stack:
-        depth, tail, head = stack.pop()
-        if depth == n:
-            edges.append((tail, head))
-            continue
-        for u, v in es:
-            stack.append((depth + 1, tail * base + u, head * base + v))
-    return Digraph.from_edges(size, edges)
 
 
 def _half_lists(nbrs: tuple[tuple[int, ...], ...], m: int) -> list[list[int]]:

@@ -11,17 +11,18 @@ components are solved separately.
 Searches never build the whole quotient.  `find_polymorphism` grows one
 component at a time by a `digraph.PowerWalk` over the implicit power
 digraph, which follows power edges and merge links a row of tuples at a
-time; the merge rules are tables on the walk's rows, built once per
-system and target size (`_merge_tables`).  The components
-holding pinned tuples are built first, all of them, so that inconsistent
-pins surface before any solving; they are then solved smallest first (by
-class count, then smallest tuple), and the first refuted one ends the
-search.  Pinned components hold the diagonal, where idempotency makes
-refutations bite, so a refutation usually touches a small fraction of the
-power.  Only when every pinned component is solved are the remaining
-components built and solved, in the same order.  Classes are numbered by
-their smallest tuple, so every sub-instance, and hence every table found,
-is the one the full construction gives.
+time; the merge rules are tables on the walk's rows, built once per set of
+merge rules and target size (`_merge_tables`).  The components holding
+pinned tuples are built first, all of them, so that inconsistent pins
+surface before any solving; they are then solved smallest first (by class
+count, then smallest tuple), and the first refuted one ends the search.
+Pinned components hold the diagonal, where idempotency makes refutations
+bite, so a refutation usually touches a small fraction of the power;
+`refuted_on_pins` runs this stage alone.  Only when every pinned component
+is solved are the remaining components built and solved, in the same
+order.  Classes are numbered by their smallest tuple, so every
+sub-instance, and hence every table found, is the one the full
+construction gives.
 
 A tuple -> class dict lives only inside `_LazyIndicator.close` (and, for
 the pin tuples, `pinned_components`), never while solving: a component
@@ -199,6 +200,7 @@ def _merge_tables(sys: IdentitySystem, n: int) -> tuple[tuple[int, ...], tuple]:
     a symbol on both sides keyed by its value, ranges held); their partners
     are `base[hi] + add[lo]` plus one offset per value of the symbols only
     dst names.  A tuple whose one partner is itself is left out of `match`.
+    Callers drop the pins, so systems that merge alike share one entry.
     """
     half = sys.arity // 2
     split, rows = n ** (sys.arity - half), n ** half
@@ -343,7 +345,7 @@ class _LazyIndicator:
         n = self.n = h.vertex_count
         self.total = _tuple_count(n, sys.arity, budget)
         self.sys = sys
-        self.merges = _merge_tables(sys, n)
+        self.merges = _merge_tables(IdentitySystem(sys.arity, sys.merges), n)
         self.walk = PowerWalk(h, sys.arity)
         self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
         self.rel = edge_relation(h)
@@ -455,6 +457,21 @@ class _LazyIndicator:
                                                       node_budget)
         return found
 
+    def solved(self, node_budget: int | None, *stages):
+        """(component, assignment or None) per component of each stage in
+        turn, smallest first within one; the caller stops at a refuted one."""
+        for components in stages:
+            for comp in sorted(components(), key=_Component.order):
+                yield comp, self.solve(comp, node_budget)
+
+
+def refuted_on_pins(h: Digraph, sys: IdentitySystem, budget: int = DEFAULT_INDICATOR_BUDGET,
+                    node_budget: int | None = None) -> bool:
+    """Whether a pinned component of the indicator is refuted, which refutes
+    the system; the solver sees `find_polymorphism`'s calls up to there."""
+    lazy = _LazyIndicator(h, sys, budget)
+    return any(found is None for _, found in lazy.solved(node_budget, lazy.pinned_components))
+
 
 def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
                   node_budget: int | None) -> tuple[int, ...] | None:
@@ -463,12 +480,11 @@ def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
     stopping at the first refuted one."""
     lazy = _LazyIndicator(h, sys, budget)
     solved: list[tuple[_Component, tuple[int, ...]]] = []
-    for components in (lazy.pinned_components, lazy.remaining_components):
-        for comp in sorted(components(), key=_Component.order):
-            found = lazy.solve(comp, node_budget)
-            if found is None:
-                return None
-            solved.append((comp, found))
+    for comp, found in lazy.solved(node_budget, lazy.pinned_components,
+                                   lazy.remaining_components):
+        if found is None:
+            return None
+        solved.append((comp, found))
     values = [0] * lazy.total  # after solving, so a refuted search never allocates it
     for comp, found in solved:
         for t, c in zip(comp.tuples, comp.classes):

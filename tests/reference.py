@@ -14,8 +14,9 @@ its vertex-avoidance probes both found and certified each retraction:
 every round, including the last, sweeps the same-level vertex pairs and
 retracts along the first pair an endomorphism identifies.  Its choice of
 retraction is arbitrary, so tests compare cores up to the maps between
-them.  `power_tuple` and `net_length` invert `power_index` and measure a
-path.
+them.  `direct_power` builds a whole power, the reference for
+`digraph.PowerWalk`.  `power_tuple` and `net_length` invert `power_index`
+and measure a path.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
 these tables by index arithmetic.
@@ -29,6 +30,7 @@ from math import factorial
 from hcolor.algebra import OperationTable, table_from_function
 from hcolor.classify import CoreResult, _idempotent_power
 from hcolor.digraph import (
+    DEFAULT_POWER_BUDGET,
     Digraph,
     LevelAssignment,
     compute_levels,
@@ -40,6 +42,29 @@ from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _un
 from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
+
+
+def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digraph:
+    """The n-th direct power: tuples as vertices, coordinatewise edges."""
+    if n < 1:
+        raise ValueError("power must be positive")
+    size = g.vertex_count ** n
+    if size > budget:
+        raise BudgetExceeded(f"{size} tuples exceed the power budget {budget}")
+    base = g.vertex_count
+    edges: list[tuple[int, int]] = []
+    # Build edge tuples incrementally: a power edge picks one base edge
+    # per coordinate.
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]  # (depth, tail_idx, head_idx)
+    es = g.edges_sorted
+    while stack:
+        depth, tail, head = stack.pop()
+        if depth == n:
+            edges.append((tail, head))
+            continue
+        for u, v in es:
+            stack.append((depth + 1, tail * base + u, head * base + v))
+    return Digraph.from_edges(size, edges)
 
 
 def enumerate_homs(x: Digraph, h: Digraph, limit: int | None = None,

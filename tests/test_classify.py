@@ -10,6 +10,7 @@ from corpus import all_digraphs, random_special_trees, relabel
 from hcolor import classify, cli, homsolver
 from hcolor.classify import (
     BOUNDED_WIDTH,
+    NP_COMPLETE,
     CoreResult,
     TAYLOR,
     UNDETERMINED,
@@ -306,6 +307,49 @@ class TestClassify:
                                           "wnu3": "budget_exceeded"}
         assert rep.taylor == "budget_exceeded"
         assert list(rep.timings) == ["core", "width_certificates", "siggers"]
+
+    def test_triad_skips_majority_search(self, monkeypatch):
+        # a majority operation is a 3-ary WNU, so the refuted WNU3 pin
+        # component settles both fields
+        calls = []
+        monkeypatch.setattr(classify, "find_majority", lambda *a: calls.append(a))
+        rep = classify_special_tree(canned_triad())
+        assert rep.width_certificates == {"majority": "none", "wnu3": "none"}
+        assert rep.verdict == NP_COMPLETE and calls == []
+
+    def test_probe_out_of_budget_falls_back(self, monkeypatch):
+        def out_of_budget(*args):
+            raise BudgetExceeded("probe")
+
+        monkeypatch.setattr(classify, "refuted_on_pins", out_of_budget)
+        rep = classify_special_tree(canned_triad())
+        assert rep.width_certificates == {"majority": "none", "wnu3": "none"}
+
+    def test_wnu3_searched_when_majority_runs_out(self, monkeypatch):
+        def out_of_budget(*args):
+            raise BudgetExceeded("majority")
+
+        monkeypatch.setattr(classify, "find_majority", out_of_budget)
+        p = OrientedPath("11011")
+        rep = classify_special_tree(SpecialTreeSpec(1, 1, p.height, ((0, 0, p),)))
+        assert rep.width_certificates == {"majority": "budget_exceeded", "wnu3": "found"}
+
+    @pytest.mark.parametrize("node_budget", [0, 1, 5])
+    def test_node_budget_width_fields(self, node_budget):
+        # each field is the unbudgeted one or budget_exceeded, and none is
+        # there when the core runs out; on the triad at 5 nodes the probe
+        # settles both
+        paths = [OrientedPath(d) for d in ("1", "11", "11011")]
+        specs = [canned_triad(), *random_special_trees(25),
+                 *(SpecialTreeSpec(1, 1, p.height, ((0, 0, p),)) for p in paths)]
+        for spec in specs:
+            want = classify_special_tree(spec).width_certificates
+            got = classify_special_tree(spec, node_budget=node_budget).width_certificates
+            assert list(got) in (list(want), [])
+            assert all(got[k] in (want[k], "budget_exceeded") for k in got), (spec, got)
+        if node_budget == 5:
+            assert classify_special_tree(canned_triad(), node_budget=5).width_certificates \
+                == {"majority": "none", "wnu3": "none"}
 
     def test_core_not_special_tree(self, monkeypatch):
         def not_special(core):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -295,12 +296,12 @@ class TestConvert:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_module(module, *args, cwd):
+def run_module(module, *args, cwd, stdout=subprocess.PIPE):
     """Run `python -m module args` on this checkout's sources."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 class TestModuleEntry:
@@ -319,6 +320,22 @@ class TestModuleEntry:
         done = run_module(module, "convert", "--path", "11", "--out", "p.dg", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert read_dg(tmp_path / "p.dg").vertex_count == 3
+
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # as in `hcolor core ... | head -1`: the reader is gone before the
+        # first write, and the process ends by SIGPIPE with no message
+        (tmp_path / "p.dg").write_text(format_dg(OrientedPath("11011").to_digraph()))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_module("hcolor", "core", "--input", "p.dg", cwd=tmp_path,
+                              stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == -signal.SIGPIPE
 
 
 class TestUsage:

@@ -10,7 +10,6 @@ from hcolor.digraph import (
     compute_levels,
     connected_components,
     diagonal_component,
-    direct_power,
     format_dg,
     is_connected,
     is_oriented_tree,
@@ -19,7 +18,7 @@ from hcolor.digraph import (
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
 from hcolor.minpath import OrientedPath
-from reference import power_tuple, two_walk_levels
+from reference import direct_power, power_tuple, two_walk_levels
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
 TWO_CYCLE = Digraph.from_edges(2, [(0, 1), (1, 0)])

@@ -36,6 +36,7 @@ from hcolor.polysearch import (
     find_wnu_on_top_bottom,
     indicator,
     majority_system,
+    refuted_on_pins,
     siggers_system,
     solve_indicator,
     tsi_system,
@@ -649,6 +650,58 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+class TestRefutedOnPins:
+    """`refuted_on_pins` is sound for the search it shortens: True only where
+    `find_polymorphism` finds nothing, on the same solver calls."""
+
+    @staticmethod
+    def check(keys: list, h, sys_) -> tuple[bool, int]:
+        """The probe's answer and its solver call count; `keys` then holds
+        the probe's calls and the search's."""
+        keys.clear()
+        refuted = refuted_on_pins(h, sys_)
+        probed = len(keys)
+        found = find_polymorphism(h, sys_)
+        # the probe's calls are the search's first ones; a refutation ends both
+        assert keys[probed:probed * 2] == keys[:probed]
+        if refuted:
+            assert found is None and len(keys) == 2 * probed
+        return refuted, probed
+
+    def test_four_vertex_digraphs(self, monkeypatch):
+        keys = record_solves(monkeypatch)
+        systems = (wnu_system(2), wnu_system(3), majority_system(), siggers_system())
+        graphs = loopless_digraphs_up_to_iso(4)
+        assert len(graphs) == 218
+        seen = [self.check(keys, h, sys_)[0] for h in graphs for sys_ in systems]
+        assert 0 < sum(seen) < len(seen)
+
+    def test_corpus_top_bottom_systems(self, monkeypatch):
+        keys = record_solves(monkeypatch)
+        for tree in map(compile_tree, random_special_trees(25)):
+            refuted, probed = self.check(keys, tree.digraph, top_bottom_system(tree))
+            # the probe stops after the pinned components; the search goes on
+            assert not refuted and 2 * probed < len(keys)
+
+    def test_triad_refuted_and_majority_tables_shared(self):
+        # majority and the 3-ary WNU merge alike, so the majority search
+        # reuses the probe's merge tables
+        core = compute_core(compile_tree(canned_triad()).digraph).core
+        polysearch._merge_tables.cache_clear()
+        assert refuted_on_pins(core, wnu_system(3))
+        before = polysearch._merge_tables.cache_info()
+        assert find_majority(core) is None
+        after = polysearch._merge_tables.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_budgets_apply(self):
+        core = compute_core(compile_tree(canned_triad()).digraph).core
+        with pytest.raises(BudgetExceeded):
+            refuted_on_pins(core, wnu_system(3), budget=39 ** 3 - 1)
+        with pytest.raises(BudgetExceeded):
+            refuted_on_pins(core, wnu_system(3), node_budget=0)
 
 
 class TestWorkCounts:
