@@ -112,6 +112,8 @@ def _parse_pins(items) -> dict[int, int]:
 
 
 def _cmd_solve(args) -> int:
+    if args.budget_nodes is not None and args.method != "bt":
+        raise HcolorError(f"--budget-nodes applies to --method bt, not {args.method}")
     x = read_dg(args.input)
     h = read_dg(args.target)
     pins = _parse_pins(args.pin)

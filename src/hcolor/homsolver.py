@@ -6,17 +6,17 @@ successor lists: each v in succ[u] asks for (value of u, value of v) in
 that relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's successors through the relation's memoized images, then
 its predecessors through the memoized preimages, in two written-out blocks;
-calls on one relation share its memos.  A full call queues first the
-variables whose domain is not every value (pins and self-loop filtering),
-runs until that wave dies out, and then queues, in index order, every
-variable it never reached; a search node's call queues only the variables
-the node changed.  The closure is unique, so the order changes the work,
-never the domains.  Everything is deterministic: fixed variable order
-(smallest domain, lowest index) and ascending value order.  The search
-works on one domain list in place: each frame records the old domains of
-the variables its node changed and restores them on backtracking, and the
-branching variable comes from one lazy min-heap of variables per domain
-size, which holds each variable at most once.
+calls on one relation share its memos.  It propagates only from the
+variables it is given: a search node gives the variables it changed, and
+`_narrowed`, which starts from scratch, gives first the variables whose
+domain is not every value and then those still full.  The closure is
+unique, so the order changes the work, never the domains.  Everything is
+deterministic: fixed variable order (smallest domain, lowest index) and
+ascending value order.  The search works on one domain list in place:
+each frame records the old domains of the variables its node changed and
+restores them on backtracking, and the branching variable comes from one
+lazy min-heap of variables per domain size, which holds each variable at
+most once.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from itertools import compress
 
 from .digraph import Digraph
 from .errors import BudgetExceeded, InvalidPin, VerificationFailed
-
-
-# maps `_ac_fixpoint`'s state 3 (not reached by the first wave) to 1, others to 0
-_UNREACHED = bytes(s == 3 for s in range(256))
 
 
 def _bits(mask: int):
@@ -135,104 +131,71 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
 
 
 def _ac_fixpoint(domains: list[int], inst: CspInstance,
-                 trail: tuple[list[int], list[int]] | None = None) -> bool:
-    """Arc consistency in place, queueing variables; False when a domain empties.
+                 trail: tuple[list[int], list[int]]) -> bool:
+    """Arc consistency in place from the trail's variables; False when a
+    domain empties.
 
-    A popped variable x filters each successor to the image of its domain
-    and each predecessor to the preimage, both looked up in the relation's
-    memos (searches revisit few distinct domain masks, so the memos stay
+    `trail` holds the variables whose domains changed and their old
+    domains.  Only those variables seed the queue (the rest are assumed
+    already consistent), and the first narrowing of every other variable
+    appends it and its old domain to the trail.  A popped variable x
+    filters each successor to the image of its domain and each
+    predecessor to the preimage, both looked up in the relation's memos
+    (searches revisit few distinct domain masks, so the memos stay
     small); a variable whose domain shrinks is queued again.
-
-    A full call (no `trail`) first queues, in index order, the variables
-    whose domain is not every value: pins, and variables the self-loop
-    filter narrowed.  When that wave has emptied the queue, it queues once,
-    in index order, every variable the wave never reached, and runs the
-    queue out again.  So a full-domain variable is not popped before the
-    narrowing reaches it (the triad's Siggers component takes 58,899 pops,
-    against 132,008 from plain index order).  With no variable narrowed,
-    or every one, the order is plain index order.
-
-    A search node passes its `trail`: the variables it changed and their
-    old domains.  Only those variables seed the queue (the rest are
-    assumed already consistent), and the first narrowing of every other
-    variable appends it and its old domain to the trail.
     """
     rel = inst.relation
-    succs, preds, loops = inst.adjacency
-    n = len(domains)
-    if trail is None:
-        # self-loops reduce to a unary filter, applied once here;
-        # incremental calls start from an already filtered state
-        for u in loops:
-            domains[u] &= rel.diagonal
-            if not domains[u]:
-                return False
-        changed, olds = [], []  # a full call keeps no trail: what lands here is dropped
-        full = (1 << rel.size) - 1
-        sweep_left = 0 < domains.count(full) < n  # else one pass in index order
-        if sweep_left:
-            queue = deque(compress(range(n), map(full.__ne__, domains)))
-            state = bytearray(b"\x03" * n)
-        else:
-            queue = deque(range(n))
-            state = bytearray(n)
-    else:
-        changed, olds = trail
-        queue = deque(changed)
-        state = bytearray(n)
-        sweep_left = False
-    # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped,
-    # 3: not reached yet by a full call's first wave (never recorded)
+    succs, preds, _ = inst.adjacency
+    changed, olds = trail
+    queue = deque(changed)
+    # 0: never narrowed, 1: queued, 2: narrowed (or seeded) and popped
+    state = bytearray(len(domains))
+    for x in queue:
+        state[x] = 1
     images, preimages, fwd, rev = rel.images, rel.preimages, rel.fwd, rel.rev
-    while True:
-        for x in queue:
-            state[x] = 1
-        while queue:
-            x = queue.popleft()
-            state[x] = 2
-            dx = domains[x]
-            nbrs = succs[x]
-            if nbrs:
-                support = images.get(dx)
-                if support is None:
-                    support = images[dx] = _union(fwd, dx)
-                for y in nbrs:
-                    dy = domains[y]
-                    narrowed = dy & support
-                    if narrowed != dy:
-                        if not narrowed:
-                            return False
-                        domains[y] = narrowed
-                        seen = state[y]
-                        if seen != 1:
-                            if not seen:
-                                changed.append(y)
-                                olds.append(dy)
-                            state[y] = 1
-                            queue.append(y)
-            nbrs = preds[x]
-            if nbrs:
-                support = preimages.get(dx)
-                if support is None:
-                    support = preimages[dx] = _union(rev, dx)
-                for y in nbrs:
-                    dy = domains[y]
-                    narrowed = dy & support
-                    if narrowed != dy:
-                        if not narrowed:
-                            return False
-                        domains[y] = narrowed
-                        seen = state[y]
-                        if seen != 1:
-                            if not seen:
-                                changed.append(y)
-                                olds.append(dy)
-                            state[y] = 1
-                            queue.append(y)
-        if not sweep_left:
-            return True
-        sweep_left = False
-        queue.extend(compress(range(n), state.translate(_UNREACHED)))
+    while queue:
+        x = queue.popleft()
+        state[x] = 2
+        dx = domains[x]
+        nbrs = succs[x]
+        if nbrs:
+            support = images.get(dx)
+            if support is None:
+                support = images[dx] = _union(fwd, dx)
+            for y in nbrs:
+                dy = domains[y]
+                narrowed = dy & support
+                if narrowed != dy:
+                    if not narrowed:
+                        return False
+                    domains[y] = narrowed
+                    seen = state[y]
+                    if seen != 1:
+                        if not seen:
+                            changed.append(y)
+                            olds.append(dy)
+                        state[y] = 1
+                        queue.append(y)
+        nbrs = preds[x]
+        if nbrs:
+            support = preimages.get(dx)
+            if support is None:
+                support = preimages[dx] = _union(rev, dx)
+            for y in nbrs:
+                dy = domains[y]
+                narrowed = dy & support
+                if narrowed != dy:
+                    if not narrowed:
+                        return False
+                    domains[y] = narrowed
+                    seen = state[y]
+                    if seen != 1:
+                        if not seen:
+                            changed.append(y)
+                            olds.append(dy)
+                        state[y] = 1
+                        queue.append(y)
+    return True
 
 
 def arc_consistency(inst: CspInstance) -> CspInstance | None:
@@ -246,10 +209,29 @@ def arc_consistency(inst: CspInstance) -> CspInstance | None:
 
 def _narrowed(inst: CspInstance) -> list[int] | None:
     """A fresh list of the instance's domains at the support-filtering
-    fixpoint, or None when some domain is or becomes empty."""
+    fixpoint, or None when some domain is or becomes empty.
+
+    Self-loops reduce to a unary filter, applied once here.  Then two
+    `_ac_fixpoint` calls run, each seeded in index order: first from the
+    variables whose domain is not every value (pins, and variables the
+    loop filter narrowed), then from the variables still full, which that
+    wave never reached.  So a full-domain variable is not popped before
+    the narrowing reaches it (the triad's Siggers component takes 58,899
+    pops, against 132,008 from plain index order).  With no variable
+    narrowed, or every one, the order is plain index order.
+    """
     domains = list(inst.domains)
-    if 0 in domains or not _ac_fixpoint(domains, inst):
+    rel = inst.relation
+    for u in inst.adjacency[2]:
+        domains[u] &= rel.diagonal
+    if 0 in domains:
         return None
+    full = (1 << rel.size) - 1
+    for wave in (full.__ne__, full.__eq__):
+        seeds = list(compress(range(len(domains)), map(wave, domains)))
+        # what the call records on the trail is dropped
+        if seeds and not _ac_fixpoint(domains, inst, (seeds, [])):
+            return None
     return domains
 
 
@@ -395,18 +377,17 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
 
     For every unordered variable pair the family keeps the assignments that
     extend compatibly to every third variable; the fixpoint is reached by
-    repeated sweeps.  None signals collapse (some pair set emptied), which
-    soundly refutes the instance.
+    repeated sweeps from the arc-consistent domains, which hold the
+    greatest family.  None signals collapse (some domain or pair set
+    emptied), which soundly refutes the instance.
     """
-    n = len(inst.domains)
+    domains = _narrowed(inst)
+    if domains is None:
+        return None
+    n = len(domains)
     rel = inst.relation
     values = range(rel.size)
-    outs, _, loops = inst.adjacency
-    domains = list(inst.domains)
-    for u in loops:
-        domains[u] &= rel.diagonal
-    if any(d == 0 for d in domains):
-        return None
+    outs = inst.adjacency[0]
     if n < 2:
         return {}
     # rows[u][v][a] = mask of b-values compatible with u=a, v=b

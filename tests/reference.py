@@ -7,7 +7,9 @@ before it worked in place: every node copies the domain list, and a frame
 keeps its open variables for `open_branch_var` to pick among.
 `fifo_fixpoint` is a full arc-consistency call as it was before its
 queue was seeded from the narrowed variables: every variable queued in
-index order.  `two_walk_levels` is `compute_levels` as it was before it
+index order.  `two_wave_fixpoint` restates `homsolver._narrowed`'s
+seeding as two plain FIFO waves, and `pair_consistency` is
+(2,3)-consistency on pair sets, swept from the loop-filtered domains.  `two_walk_levels` is `compute_levels` as it was before it
 walked the digraph once: a connectivity check, then a level walk that
 shifts each component.  `sweep_core` is `compute_core` as it was before
 its vertex-avoidance probes both found and certified each retraction:
@@ -146,13 +148,43 @@ def fifo_fixpoint(domains: list[int], inst: CspInstance) -> bool:
     """Arc consistency in place from every variable, queued in index order
     after the self-loop filter; False when a domain empties."""
     rel = inst.relation
-    succs, preds, loops = inst.adjacency
-    for u in loops:
+    for u in inst.adjacency[2]:
         domains[u] &= rel.diagonal
         if not domains[u]:
             return False
-    queue = deque(range(len(domains)))
-    queued = [True] * len(domains)
+    return fifo_wave(domains, inst, range(len(domains))) is not None
+
+
+def two_wave_fixpoint(domains: list[int], inst: CspInstance) -> bool:
+    """Arc consistency in place after the self-loop filter, by two FIFO
+    waves in index order: from the variables whose domain is not every
+    value, then from the variables that wave never narrowed; False when a
+    domain is or becomes empty."""
+    rel = inst.relation
+    for u in inst.adjacency[2]:
+        domains[u] &= rel.diagonal
+    if 0 in domains:
+        return False
+    full = (1 << rel.size) - 1
+    seeds = [x for x, d in enumerate(domains) if d != full]
+    narrowed = fifo_wave(domains, inst, seeds)
+    if narrowed is None:
+        return False
+    reached = set(seeds) | narrowed
+    rest = [x for x in range(len(domains)) if x not in reached]
+    return fifo_wave(domains, inst, rest) is not None
+
+
+def fifo_wave(domains: list[int], inst: CspInstance, seeds) -> set[int] | None:
+    """Arc consistency in place from the seeds, one FIFO queue; the
+    variables it narrowed, or None when a domain empties."""
+    rel = inst.relation
+    succs, preds, _ = inst.adjacency
+    queue = deque(seeds)
+    queued = [False] * len(domains)
+    for x in queue:
+        queued[x] = True
+    narrowed_vars = set()
     supports: dict[tuple[bool, int], int] = {}  # (forward, domain) -> support
     while queue:
         x = queue.popleft()
@@ -165,12 +197,52 @@ def fifo_fixpoint(domains: list[int], inst: CspInstance) -> bool:
                 narrowed = domains[y] & supports[key]
                 if narrowed != domains[y]:
                     if not narrowed:
-                        return False
+                        return None
                     domains[y] = narrowed
+                    narrowed_vars.add(y)
                     if not queued[y]:
                         queued[y] = True
                         queue.append(y)
-    return True
+    return narrowed_vars
+
+
+def pair_consistency(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None:
+    """The greatest (2,3)-consistent family by plain sweeps over pair sets,
+    from the self-loop-filtered domains: a pair (a, b) on u < v stays while
+    every third variable w has a value c with (a, c) kept on u, w and
+    (b, c) kept on v, w.  None when a domain or a pair set empties."""
+    rel = inst.relation
+    n = len(inst.domains)
+    arcs = {(u, v) for u, v in inst.constraints if u != v}
+    domains = list(inst.domains)
+    for u in inst.adjacency[2]:
+        domains[u] &= rel.diagonal
+    if 0 in domains:
+        return None
+    values = [list(_bits(d)) for d in domains]
+
+    def allowed(u, a, v, b):
+        return (((u, v) not in arcs or rel.fwd[a] >> b & 1)
+                and ((v, u) not in arcs or rel.fwd[b] >> a & 1))
+
+    pairs = {(u, v): {(a, b) for a in values[u] for b in values[v] if allowed(u, a, v, b)}
+             for u in range(n) for v in range(u + 1, n)}
+
+    def kept(u, a, w, c):
+        return (a, c) in pairs[(u, w)] if u < w else (c, a) in pairs[(w, u)]
+
+    changed = True
+    while changed:
+        changed = False
+        for (u, v), family in pairs.items():
+            for a, b in sorted(family):
+                if not all(any(kept(u, a, w, c) and kept(v, b, w, c) for c in values[w])
+                           for w in range(n) if w != u and w != v):
+                    family.discard((a, b))
+                    changed = True
+    if any(not family for family in pairs.values()):
+        return None
+    return {key: frozenset(family) for key, family in pairs.items()}
 
 
 def two_walk_levels(g: Digraph) -> LevelAssignment:

@@ -99,6 +99,16 @@ class TestSolve:
         assert main(["solve", "--input", "/nonexistent.dg",
                      "--target", edge_file]) == 2
 
+    @pytest.mark.parametrize("method", ["ac", "23"])
+    def test_node_budget_needs_backtracking(self, edge_file, method, capsys):
+        # support filtering and pair consistency search no nodes, so a node
+        # budget for them is bad input, not ignored
+        assert main(["solve", "--input", edge_file, "--target", edge_file,
+                     "--method", method, "--budget-nodes", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget-nodes applies to --method bt" in captured.err
+
 
 class TestPoly:
     def test_wnu_on_edge(self, tmp_path, edge_file):

@@ -13,6 +13,7 @@ from hcolor.homsolver import (
     CspInstance,
     _ac_fixpoint,
     _Buckets,
+    _narrowed,
     _NodeCounter,
     _restore,
     _search,
@@ -24,7 +25,14 @@ from hcolor.homsolver import (
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import find_majority, find_siggers, find_wnu, find_wnu_on_top_bottom
 from hcolor.spectree import canned_triad, compile_tree
-from reference import branch_var, enumerate_homs, fifo_fixpoint, open_branch_var
+from reference import (
+    branch_var,
+    enumerate_homs,
+    fifo_fixpoint,
+    open_branch_var,
+    pair_consistency,
+    two_wave_fixpoint,
+)
 from reference import search as reference_search
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
@@ -148,6 +156,12 @@ def random_looped_digraph(rng, max_n, density):
     return Digraph.from_edges(n, edges)
 
 
+def loop_filtered(inst: CspInstance) -> list[int]:
+    """The domains with each self-looped variable cut to the diagonal."""
+    loops = inst.adjacency[2]
+    return [d & inst.relation.diagonal if u in loops else d for u, d in enumerate(inst.domains)]
+
+
 class TestFixpointAgainstReference:
     def test_random_instances_with_loops_and_pins(self):
         rng = random.Random(41)
@@ -207,17 +221,23 @@ class _Stop(Exception):
 
 
 class TestSeededFixpoint:
-    """Full calls, seeded from the narrowed variables, against
+    """`_narrowed`, seeded first from the narrowed variables, against
     `fifo_fixpoint`, which queues every variable in index order: the same
-    domains, or a wipeout on both."""
+    domains, or a wipeout on both; and against `two_wave_fixpoint`, a
+    plain FIFO restatement of its seeding: the same pops as well."""
 
     @staticmethod
-    def same_fixpoint(domains: list[int], inst: CspInstance) -> bool:
-        want = list(domains)
-        consistent = _ac_fixpoint(domains, inst)
-        assert consistent == fifo_fixpoint(want, inst)
-        assert not consistent or domains == want
-        return consistent
+    def same_fixpoint(inst: CspInstance) -> list[int] | None:
+        logged, log = logging_pops(inst)
+        got = _narrowed(logged)
+        pops = list(log)
+        log.clear()
+        two_wave, fifo = list(inst.domains), list(inst.domains)
+        assert two_wave_fixpoint(two_wave, logged) == (got is not None)
+        assert log == pops
+        assert (fifo_fixpoint(fifo, inst) and 0 not in fifo) == (got is not None)
+        assert got is None or got == two_wave == fifo
+        return got
 
     @pytest.fixture(scope="class")
     def triad_siggers(self):
@@ -241,13 +261,11 @@ class TestSeededFixpoint:
         # per solver call (1,060 and 191 in `TestWorkCounts`)
         outcomes = []
 
-        def checking(domains, inst, trail=None):
-            if trail is not None:
-                return _ac_fixpoint(domains, inst, trail)
-            outcomes.append(self.same_fixpoint(domains, inst))
-            return outcomes[-1]
+        def checking(inst):
+            outcomes.append(self.same_fixpoint(inst) is not None)
+            return _narrowed(inst)
 
-        monkeypatch.setattr(homsolver, "_ac_fixpoint", checking)
+        monkeypatch.setattr(homsolver, "_narrowed", checking)
         for spec in random_special_trees(25):
             tree = compile_tree(spec)
             find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices)
@@ -261,16 +279,37 @@ class TestSeededFixpoint:
         assert len(outcomes) == 1060 + 191
         assert not all(outcomes)
 
+    def test_random_instances_with_loops_and_pins(self):
+        # the pop order of `two_wave_fixpoint`, on instances where the loop
+        # filter and the pins narrow, where they narrow every variable or
+        # none, and where a wave wipes out
+        rng = random.Random(43)
+        hits = {"refuted": 0, "two waves": 0, "one wave": 0}
+        for _ in range(300):
+            x = random_looped_digraph(rng, 7, 0.3)
+            h = random_looped_digraph(rng, 5, 0.4)
+            pinned = rng.sample(range(x.vertex_count), min(rng.randint(0, 2), x.vertex_count))
+            inst = build_instance(x, h, {var: rng.randrange(h.vertex_count) for var in pinned})
+            full = (1 << h.vertex_count) - 1
+            if self.same_fixpoint(inst) is None:
+                hits["refuted"] += 1
+            elif 0 < loop_filtered(inst).count(full) < x.vertex_count:
+                hits["two waves"] += 1
+            else:
+                hits["one wave"] += 1
+        assert all(hits.values()), hits
+
     def test_triad_siggers_component(self, triad_siggers):
         # the index-order queue pops 132,008 times, about four pops per
         # class, before the pins' narrowing has reached most classes;
         # seeded from the pins, the same fixpoint takes 58,899 pops
         inst, log = logging_pops(triad_siggers)
         assert inst.variable_count == 33_843
-        seeded, fifo = list(inst.domains), list(inst.domains)
-        assert _ac_fixpoint(seeded, inst)
+        seeded = _narrowed(inst)
+        assert seeded is not None
         assert len(log) == 58_899
         log.clear()
+        fifo = list(inst.domains)
         assert fifo_fixpoint(fifo, inst)
         assert len(log) == 132_008
         assert seeded == fifo
@@ -281,16 +320,16 @@ class TestSeededFixpoint:
         # path, which it never reached, is popped in index order
         x = Digraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         h = Digraph.from_edges(3, [(0, 1), (1, 2)])
-        inst, log = logging_pops(build_instance(x, h, {4: 1}))
-        domains = list(inst.domains)
-        assert _ac_fixpoint(domains, inst)
+        pinned = build_instance(x, h, {4: 1})
+        inst, log = logging_pops(pinned)
+        domains = _narrowed(inst)
         assert log[:5] == [4, 3, 0, 1, 2]
         assert domains == [0b001, 0b010, 0b100, 0b001, 0b010]
-        assert self.same_fixpoint(list(inst.domains), inst)
+        assert self.same_fixpoint(pinned) == domains
         # with nothing pinned, every variable is queued in index order, as
         # in `fifo_fixpoint`, and pops the same
         free, log = logging_pops(build_instance(x, h))
-        assert _ac_fixpoint(list(free.domains), free)
+        assert _narrowed(free) is not None
         seeded = list(log)
         log.clear()
         assert fifo_fixpoint(list(free.domains), free)
@@ -644,6 +683,26 @@ class TestConsistency23:
                         assert (s, t) not in x.edges or (c, d) in h.edges
         assert hits["refuted"] and hits["solvable"]
         return hits["loops"]
+
+    def test_greatest_family_against_pair_sets(self):
+        # `consistency_23` sweeps from the arc-consistent domains, and the
+        # reference from the loop-filtered ones: the same greatest family,
+        # or collapse on both
+        rng = random.Random(53)
+        hits = {"collapsed": 0, "family": 0, "narrowed start": 0}
+        for _ in range(200):
+            x = random_looped_digraph(rng, 6, 0.35)
+            h = random_looped_digraph(rng, 4, 0.5)
+            pinned = rng.sample(range(x.vertex_count), min(rng.randint(0, 2), x.vertex_count))
+            inst = build_instance(x, h, {var: rng.randrange(h.vertex_count) for var in pinned})
+            fam = consistency_23(inst)
+            assert fam == pair_consistency(inst)
+            if fam is None:
+                hits["collapsed"] += 1
+                continue
+            hits["family"] += 1
+            hits["narrowed start"] += _narrowed(inst) != loop_filtered(inst)
+        assert all(hits.values()), hits
 
     def test_majority_target_decides(self):
         # an oriented path admits a majority polymorphism, so pair
