@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component, power_index
+from .digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component, power_index, read_records
 from .errors import (
     ArityBudgetExceeded,
     BudgetExceeded,
@@ -818,25 +818,18 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
 # .op text format: `op <n> <k>` then n^k value lines.
 
 def format_op(t: OperationTable) -> str:
-    lines = [f"op {t.size} {t.arity}"]
-    lines.extend(str(v) for v in t.values)
-    return "\n".join(lines) + "\n"
+    names = [f"{v}\n" for v in range(t.size)]  # shared by every entry: no str per entry
+    return f"op {t.size} {t.arity}\n" + "".join(map(names.__getitem__, t.values))
 
 
 def parse_op(text: str) -> OperationTable:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise InvalidFormat("empty operation file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "op":
-        raise InvalidFormat(f"bad header line: {lines[0]!r}")
+    head, (size, arity), body = read_records(text, "op", 2, "operation")
     try:
-        size, arity = int(head[1]), int(head[2])
-        values = tuple(int(ln.strip()) for ln in lines[1:])
+        values = tuple(int(ln.strip()) for ln in body)
     except ValueError as exc:
         raise InvalidFormat("bad operation file") from exc
     if size < 0 or arity < 0:
-        raise InvalidFormat(f"negative size or arity: {lines[0]!r}")
+        raise InvalidFormat(f"negative size or arity: {head!r}")
     if size >= 2 and arity * size.bit_length() > 10_000:
         # size ** arity is over 2 ** 5000, so not len: not computed, nor formatted
         raise InvalidFormat(f"expected {size}^{arity} values, found {len(values)}")
@@ -846,13 +839,3 @@ def parse_op(text: str) -> OperationTable:
         return OperationTable(size, arity, values)
     except ValueError as exc:
         raise InvalidFormat(str(exc)) from exc
-
-
-def read_op(path) -> OperationTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_op(fh.read())
-
-
-def write_op(path, t: OperationTable) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_op(t))

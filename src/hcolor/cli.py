@@ -12,7 +12,7 @@ import json
 import signal
 import sys
 
-from .algebra import format_op, write_op
+from .algebra import format_op
 from .classify import (
     BOUNDED_WIDTH,
     BUDGET_SKIPPED,
@@ -24,7 +24,7 @@ from .classify import (
     compute_core,
     verify_lemma_suite,
 )
-from .digraph import DEFAULT_POWER_BUDGET, read_dg, write_dg
+from .digraph import DEFAULT_POWER_BUDGET, format_dg, parse_dg
 from .errors import BudgetExceeded, HcolorError
 from .homsolver import arc_consistency, build_instance, consistency_23, solve_hom
 from .minpath import OrientedPath
@@ -40,8 +40,7 @@ from .spectree import (
     format_roles,
     format_stree,
     gen_random_special_tree,
-    read_stree,
-    write_stree,
+    parse_stree,
 )
 
 FORMAT_VERSION = 1
@@ -75,24 +74,31 @@ _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be nonnegative")
 _POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "must be positive")  # NaN fails
 
 
+def _read(path: str, parse):
+    with open(path, encoding="ascii") as fh:
+        return parse(fh.read())
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def _emit_json(payload: dict, path: str | None) -> None:
     payload = {"format_version": FORMAT_VERSION, **payload}
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_build(args) -> int:
-    spec = read_stree(args.tree)
-    tree = compile_tree(spec)
-    write_dg(args.out, tree.digraph)
+    tree = compile_tree(_read(args.tree, parse_stree))
+    _write(args.out, format_dg(tree.digraph))
     roles_path = args.roles or (args.out + ".roles" if not args.out.endswith(".dg")
                                 else args.out[:-3] + ".roles")
-    with open(roles_path, "w", encoding="ascii") as fh:
-        fh.write(format_roles(tree))
+    _write(roles_path, format_roles(tree))
     print(f"wrote {args.out} ({tree.digraph.vertex_count} vertices) and {roles_path}")
     return EXIT_FOUND
 
@@ -114,8 +120,8 @@ def _parse_pins(items) -> dict[int, int]:
 def _cmd_solve(args) -> int:
     if args.budget_nodes is not None and args.method != "bt":
         raise HcolorError(f"--budget-nodes applies to --method bt, not {args.method}")
-    x = read_dg(args.input)
-    h = read_dg(args.target)
+    x = _read(args.input, parse_dg)
+    h = _read(args.target, parse_dg)
     pins = _parse_pins(args.pin)
     if args.method == "bt":
         found = solve_hom(x, h, pins, args.budget_nodes)
@@ -147,7 +153,7 @@ def _cmd_poly(args) -> int:
     kind = args.kind
     if args.arity is not None and kind not in ("wnu", "tsi"):
         raise HcolorError(f"--arity applies to --kind wnu or tsi, not {kind}")
-    h = read_dg(args.target)
+    h = _read(args.target, parse_dg)
     budgets = (args.budget_indicator, args.budget_nodes)
     if kind == "wnu":
         table = find_wnu(h, _given_or(args.arity, 3), *budgets)
@@ -160,20 +166,18 @@ def _cmd_poly(args) -> int:
     if table is None:
         print(f"no {kind} polymorphism")
         return EXIT_NONE
-    if args.out:
-        write_op(args.out, table)
+    _write(args.out, format_op(table))
+    if args.out is not None:
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(format_op(table))
     return EXIT_FOUND
 
 
 def _cmd_classify(args) -> int:
     params = (args.budget_nodes, args.budget_indicator, args.seed, args.budget_wall)
     if args.tree:
-        report = classify_special_tree(read_stree(args.tree), *params)
+        report = classify_special_tree(_read(args.tree, parse_stree), *params)
     else:
-        report = classify_digraph(read_dg(args.input), *params)
+        report = classify_digraph(_read(args.input, parse_dg), *params)
     _emit_json(report.to_dict(), args.json)
     if report.verdict in (BOUNDED_WIDTH, TAYLOR):
         return EXIT_FOUND
@@ -183,10 +187,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    g = read_dg(args.input)
-    result = compute_core(g, args.budget_nodes)
-    if args.out:
-        write_dg(args.out, result.core)
+    result = compute_core(_read(args.input, parse_dg), args.budget_nodes)
+    if args.out is not None:
+        _write(args.out, format_dg(result.core))
     print(f"core size {result.core.vertex_count}")
     for v, c in enumerate(result.retraction):
         print(f"{v} {c}")
@@ -194,7 +197,7 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = read_stree(args.tree)
+    spec = _read(args.tree, parse_stree)
     report = verify_lemma_suite(
         spec, args.seed, args.budget_indicator, args.budget_nodes, args.budget_power)
     _emit_json(report, args.json)
@@ -207,11 +210,9 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     spec = gen_random_special_tree(args.seed, args.a, args.b, args.height,
                                    _given_or(args.max_path_len, args.height + 4))
-    if args.out:
-        write_stree(args.out, spec)
+    _write(args.out, format_stree(spec))
+    if args.out is not None:
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(format_stree(spec))
     return EXIT_FOUND
 
 
@@ -222,8 +223,8 @@ def _cmd_convert(args) -> int:
         except ValueError as exc:
             raise HcolorError(f"bad path {args.path!r}: {exc}") from None
     else:
-        g = compile_tree(read_stree(args.tree)).digraph
-    write_dg(args.out, g)
+        g = compile_tree(_read(args.tree, parse_stree)).digraph
+    _write(args.out, format_dg(g))
     print(f"wrote {args.out} ({g.vertex_count} vertices)")
     return EXIT_FOUND
 

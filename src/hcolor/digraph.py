@@ -283,7 +283,25 @@ def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -
         raise BudgetExceeded(f"diagonal component exceeded budget {budget}") from None
 
 
-# .dg text format: `digraph <n> <m>` then m lines `<u> <v>`; '#' comments.
+# The text formats share one grammar: a `<name> <int> ...` header, then one
+# record per line; blank lines and `#` lines, indented or not, are skipped.
+
+def read_records(text: str, name: str, count: int, what: str) -> tuple[str, list[int], list[str]]:
+    """The header line, its `count` numbers and the record lines of `text`."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise InvalidFormat(f"empty {what} file")
+    head = lines[0].split()
+    if len(head) != count + 1 or head[0] != name:
+        raise InvalidFormat(f"bad header line: {lines[0]!r}")
+    try:
+        numbers = [int(x) for x in head[1:]]
+    except ValueError as exc:
+        raise InvalidFormat(f"bad header numbers: {lines[0]!r}") from exc
+    return lines.pop(0), numbers, lines
+
+
+# .dg: `digraph <n> <m>` then m lines `<u> <v>`, with a trailing newline.
 
 def format_dg(g: Digraph) -> str:
     lines = [f"digraph {g.vertex_count} {len(g.edges)}"]
@@ -294,19 +312,9 @@ def format_dg(g: Digraph) -> str:
 def parse_dg(text: str) -> Digraph:
     if not text.endswith("\n"):
         raise InvalidFormat("missing trailing newline")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise InvalidFormat("empty digraph file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "digraph":
-        raise InvalidFormat(f"bad header line: {lines[0]!r}")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise InvalidFormat(f"bad header numbers: {lines[0]!r}") from exc
+    head, (n, m), body = read_records(text, "digraph", 2, "digraph")
     if n < 0:
-        raise InvalidFormat(f"negative vertex count: {lines[0]!r}")
-    body = lines[1:]
+        raise InvalidFormat(f"negative vertex count: {head!r}")
     if len(body) != m:
         raise InvalidFormat(f"expected {m} edge lines, found {len(body)}")
     edges: set[tuple[int, int]] = set()
@@ -324,13 +332,3 @@ def parse_dg(text: str) -> Digraph:
             raise InvalidFormat(f"duplicate edge ({u}, {v})")
         edges.add((u, v))
     return Digraph(n, frozenset(edges))
-
-
-def read_dg(path) -> Digraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_dg(fh.read())
-
-
-def write_dg(path, g: Digraph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_dg(g))

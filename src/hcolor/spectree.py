@@ -12,7 +12,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .digraph import Digraph, LevelAssignment, compute_levels, is_connected, is_oriented_tree
+from .digraph import (
+    Digraph,
+    LevelAssignment,
+    compute_levels,
+    is_connected,
+    is_oriented_tree,
+    read_records,
+)
 from .errors import (
     InvalidFormat,
     InvalidParams,
@@ -325,7 +332,7 @@ def gen_random_special_tree(
 
 
 # .stree text format: `stree <|A|> <|B|> <h> <m>` then m lines
-# `<a_index> <b_index> <path>`; '#' comments.
+# `<a_index> <b_index> <path>`.
 
 def format_stree(spec: SpecialTreeSpec) -> str:
     lines = [f"stree {spec.a_count} {spec.b_count} {spec.height} {len(spec.template_edges)}"]
@@ -334,17 +341,7 @@ def format_stree(spec: SpecialTreeSpec) -> str:
 
 
 def parse_stree(text: str) -> SpecialTreeSpec:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise InvalidFormat("empty template file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "stree":
-        raise InvalidFormat(f"bad header line: {lines[0]!r}")
-    try:
-        a, b, h, m = (int(x) for x in head[1:])
-    except ValueError as exc:
-        raise InvalidFormat(f"bad header numbers: {lines[0]!r}") from exc
-    body = lines[1:]
+    _, (a, b, h, m), body = read_records(text, "stree", 4, "template")
     if len(body) != m:
         raise InvalidFormat(f"expected {m} edge lines, found {len(body)}")
     edges = []
@@ -359,16 +356,6 @@ def parse_stree(text: str) -> SpecialTreeSpec:
             raise InvalidFormat(f"bad edge line: {ln!r}") from exc
         edges.append((ai, bj, path))
     return SpecialTreeSpec(a, b, h, tuple(edges))
-
-
-def read_stree(path) -> SpecialTreeSpec:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_stree(fh.read())
-
-
-def write_stree(path, spec: SpecialTreeSpec) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_stree(spec))
 
 
 def format_roles(tree: SpecialTree) -> str:

@@ -18,7 +18,8 @@ retracts along the first pair an endomorphism identifies.  Its choice of
 retraction is arbitrary, so tests compare cores up to the maps between
 them.  `direct_power` builds a whole power, the reference for
 `digraph.PowerWalk`.  `power_tuple` and `net_length` invert `power_index`
-and measure a path.
+and measure a path.  `format_op` writes a `.op` table as it did before it
+shared one string per value: a `str` per value, joined by newlines.
 The other functions evaluate operation tables one argument tuple at a
 time through a Python closure, the way the library did before it built
 these tables by index arithmetic.
@@ -419,3 +420,9 @@ def star_table(polymer: OperationTable) -> OperationTable:
         return z
 
     return table_from_function(polymer.size, 2, fold)
+
+
+def format_op(t: OperationTable) -> str:
+    lines = [f"op {t.size} {t.arity}"]
+    lines.extend(str(v) for v in t.values)
+    return "\n".join(lines) + "\n"

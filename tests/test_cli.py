@@ -6,16 +6,18 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcolor.classify
 from hcolor.cli import main
-from hcolor.digraph import format_dg, parse_dg, read_dg
+from hcolor.digraph import format_dg, parse_dg
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
-from hcolor.spectree import canned_triad, format_stree, parse_stree
+from hcolor.spectree import canned_triad, compile_tree, format_roles, format_stree, parse_stree
 
 
 @pytest.fixture
@@ -37,7 +39,7 @@ class TestBuild:
         out = tmp_path / "triad.dg"
         code = main(["build", "--tree", triad_file, "--out", str(out)])
         assert code == 0
-        g = read_dg(out)
+        g = parse_dg(out.read_text())
         assert g.vertex_count == 39
         roles = (tmp_path / "triad.roles").read_text().splitlines()
         assert len(roles) == 39
@@ -116,9 +118,9 @@ class TestPoly:
         code = main(["poly", "--target", edge_file, "--kind", "wnu",
                      "--arity", "3", "--out", str(out)])
         assert code == 0
-        from hcolor.algebra import is_wnu, read_op
+        from hcolor.algebra import is_wnu, parse_op
 
-        assert is_wnu(read_op(out))
+        assert is_wnu(parse_op(out.read_text()))
 
     def test_triangle_refutations(self, tmp_path):
         tri = tmp_path / "tri.dg"
@@ -201,12 +203,12 @@ class TestCoreCmd:
         out = tmp_path / "core.dg"
         code = main(["core", "--input", str(dg), "--out", str(out)])
         assert code == 0
-        assert read_dg(out).vertex_count == 3
+        assert parse_dg(out.read_text()).vertex_count == 3
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "core size 3"
         assert len(lines) == 1 + 5
         # the printed retraction is an onto homomorphism from the input to core.dg
-        g, core = read_dg(dg), read_dg(out)
+        g, core = parse_dg(dg.read_text()), parse_dg(out.read_text())
         pairs = [tuple(map(int, line.split())) for line in lines[1:]]
         assert [v for v, _ in pairs] == list(range(g.vertex_count))
         retraction = tuple(c for _, c in pairs)
@@ -282,7 +284,7 @@ class TestConvert:
         out = tmp_path / "p.dg"
         code = main(["convert", "--path", "110110110001111", "--out", str(out)])
         assert code == 0
-        assert read_dg(out).vertex_count == 16
+        assert parse_dg(out.read_text()).vertex_count == 16
 
     def test_bad_path_literal(self, tmp_path, capsys):
         out = tmp_path / "p.dg"
@@ -329,7 +331,7 @@ class TestModuleEntry:
     def test_convert_writes_file(self, tmp_path, module):
         done = run_module(module, "convert", "--path", "11", "--out", "p.dg", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
-        assert read_dg(tmp_path / "p.dg").vertex_count == 3
+        assert parse_dg((tmp_path / "p.dg").read_text()).vertex_count == 3
 
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
@@ -401,6 +403,51 @@ class TestByteStability:
         first = capsys.readouterr().out
         main(["verify", "--tree", str(spec), "--seed", "3"])
         assert capsys.readouterr().out == first
+
+
+
+class TestSameBytes:
+    """A command writes to its file exactly the bytes it prints without one."""
+
+    FOLD = "stree 2 1 2 2\n0 0 11\n1 0 11\n"
+
+    @staticmethod
+    def printed(argv, capsys) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "--kind", "majority"],
+        ["poly", "--kind", "siggers"],
+        ["gen", "--seed", "3", "--a", "3", "--b", "2", "--height", "3"],
+    ], ids=["poly-majority", "poly-siggers", "gen"])
+    def test_out_matches_stdout(self, tmp_path, argv, capsys):
+        if argv[0] == "poly":
+            (tmp_path / "t.stree").write_text(self.FOLD)
+            self.printed(["build", "--tree", str(tmp_path / "t.stree"),
+                          "--out", str(tmp_path / "t.dg")], capsys)
+            argv = argv + ["--target", str(tmp_path / "t.dg")]
+        out = tmp_path / "out.txt"
+        text = self.printed(argv, capsys)
+        assert self.printed(argv + ["--out", str(out)], capsys) == f"wrote {out}\n"
+        assert out.read_bytes() == text.encode("ascii")
+
+    def test_classify_json_matches_stdout(self, tmp_path, monkeypatch, capsys):
+        # timings are the one unstable field, so the clock stands still here
+        monkeypatch.setattr(hcolor.classify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        (tmp_path / "t.stree").write_text(self.FOLD)
+        argv = ["classify", "--tree", str(tmp_path / "t.stree")]
+        out = tmp_path / "r.json"
+        text = self.printed(argv, capsys)
+        assert self.printed(argv + ["--json", str(out)], capsys) == ""
+        assert out.read_bytes() == text.encode("ascii")
+
+    def test_build_writes_the_formatted_digraph_and_roles(self, tmp_path, triad_file, capsys):
+        out = tmp_path / "t.dg"
+        self.printed(["build", "--tree", triad_file, "--out", str(out)], capsys)
+        tree = compile_tree(canned_triad())
+        assert out.read_bytes() == format_dg(tree.digraph).encode("ascii")
+        assert (tmp_path / "t.roles").read_bytes() == format_roles(tree).encode("ascii")
 
 
 # Input files for the fuzz test: valid, malformed, of the other format, and
@@ -489,3 +536,61 @@ class TestFuzz:
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+@st.composite
+def _text_file(draw, name: str, count: int, record):
+    """A random file in the shape of a text format: `name` and `count`
+    header numbers of at most 8, the last one mostly the record count, then
+    records drawn from `record` or junk, among comments and blank lines,
+    with `\n` or `\r\n` endings and mostly a trailing newline.  Three headers
+    in ten are broken.  No file asks for a large structure."""
+    junk = st.lists(st.sampled_from(["x", "1.5", "-1", "9", "#", "0110"]), max_size=4)
+    records = draw(st.lists(st.one_of(*[record] * 9, junk), max_size=8))
+    head = [name, *draw(st.lists(st.integers(-1, 8).map(str), min_size=count,
+                                 max_size=count))]
+    if draw(st.sampled_from([True, True, True, False])):
+        head[-1] = str(len(records))
+    broken = draw(st.sampled_from([None] * 7 + [0, 1, 2]))
+    if broken == 2:
+        head.pop()
+    elif broken is not None:
+        head[broken] = "x"
+    lines = [" ".join(head)]
+    for fields in records:
+        lines += draw(st.lists(st.sampled_from(["# note", "  # indented", "", "  "]), max_size=1))
+        lines.append(" ".join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end] * 7 + [""]))
+
+
+_DG_FILES = _text_file("digraph", 2, st.lists(st.integers(0, 4).map(str), min_size=2,
+                                               max_size=2))
+_STREE_FILES = _text_file("stree", 4, st.tuples(st.integers(0, 3).map(str),
+                                                st.integers(0, 3).map(str),
+                                                st.one_of(st.sampled_from(["1", "11", "101"]),
+                                                          st.text("01", min_size=1, max_size=8))))
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text")
+
+
+class TestTextFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_STREE_FILES, _DG_FILES, _DG_FILES)
+    def test_random_files_exit_cleanly(self, text_dir, tree, input_dg, target_dg):
+        # whatever a file holds, a command reading it ends in a documented
+        # exit code, never in a traceback
+        for name, text in (("t.stree", tree), ("x.dg", input_dg), ("h.dg", target_dg)):
+            (text_dir / name).write_bytes(text.encode("ascii"))
+        t, x, h = (str(text_dir / name) for name in ("t.stree", "x.dg", "h.dg"))
+        for argv in (["build", "--tree", t, "--out", str(text_dir / "out.dg")],
+                     ["solve", "--input", x, "--target", h, "--budget-nodes", "1000"],
+                     ["poly", "--target", h, "--kind", "majority", "--budget-nodes", "1000"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, tree, input_dg, target_dg)
+            assert "Traceback" not in err.getvalue(), argv

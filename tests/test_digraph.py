@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import random_digraph as corpus_digraph
+from hcolor.algebra import parse_op
 from hcolor.digraph import (
     Digraph,
     compute_levels,
@@ -15,9 +16,11 @@ from hcolor.digraph import (
     is_oriented_tree,
     parse_dg,
     power_index,
+    read_records,
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
 from hcolor.minpath import OrientedPath
+from hcolor.spectree import parse_stree
 from reference import direct_power, power_tuple, two_walk_levels
 
 EDGE = Digraph.from_edges(2, [(0, 1)])
@@ -224,3 +227,57 @@ class TestDgFormat:
             parse_dg("digraph 2 1\n0 5\n")  # out of range
         with pytest.raises(InvalidFormat):
             parse_dg("digraph -1 0\n")  # negative vertex count
+
+
+# The three text formats: parser, header name, header number count, the
+# name of the file kind in "empty ... file", and one valid text.
+FORMATS = [
+    pytest.param(parse_dg, "digraph", 2, "digraph", "digraph 3 2\n0 1\n2 1\n", id="dg"),
+    pytest.param(parse_stree, "stree", 4, "template", "stree 2 1 2 2\n0 0 11\n1 0 11\n",
+                 id="stree"),
+    pytest.param(parse_op, "op", 2, "operation", "op 2 1\n0\n1\n", id="op"),
+]
+
+
+class TestTextFormats:
+    """`.dg`, `.stree` and `.op` share one header grammar, and with it the
+    same three errors and the same skipped lines."""
+
+    def test_read_records(self):
+        text = "# lead\n  x 1 -2\n\n  # indented\na b\r\n c\n"
+        assert read_records(text, "x", 2, "thing") == ("  x 1 -2", [1, -2], ["a b", " c"])
+
+    @pytest.mark.parametrize("parse, name, count, what, valid", FORMATS)
+    def test_shared_header_errors(self, parse, name, count, what, valid):
+        numbers = " 1" * count
+        cases = [
+            ("\n", f"empty {what} file"),
+            (" \n\t\n\r\n", f"empty {what} file"),
+            ("# only a comment\n  # and an indented one\n", f"empty {what} file"),
+            (f"{name}s{numbers}\n", f"bad header line: '{name}s{numbers}'"),
+            (f"{name}{numbers} 1\n", f"bad header line: '{name}{numbers} 1'"),
+            (f"{name}{numbers[2:]}\n", f"bad header line: '{name}{numbers[2:]}'"),
+            (f"{name} x{numbers[2:]}\n", f"bad header numbers: '{name} x{numbers[2:]}'"),
+            (f"  {name}{numbers[2:]} 1.5\n", f"bad header numbers: '  {name}{numbers[2:]} 1.5'"),
+        ]
+        for text, message in cases:
+            with pytest.raises(InvalidFormat) as exc:
+                parse(text)
+            assert str(exc.value) == message, text
+
+    @pytest.mark.parametrize("parse, name, count, what, valid", FORMATS)
+    def test_skipped_lines_and_crlf(self, parse, name, count, what, valid):
+        lines = valid.splitlines()
+        decorated = "\r\n".join(f"\t\n  # note {i}\r\n{ln}" for i, ln in enumerate(lines))
+        assert parse("#lead\r\n" + decorated + "\r\n\n") == parse(valid)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        pytest.param(parse_dg, "  digraph -1 0\n", "negative vertex count: '  digraph -1 0'",
+                     id="dg"),
+        pytest.param(parse_op, "\top 2 -1 \n", "negative size or arity: '\\top 2 -1 '",
+                     id="op"),
+    ])
+    def test_negative_counts_quote_the_header_as_read(self, parse, text, message):
+        with pytest.raises(InvalidFormat) as exc:
+            parse(text)
+        assert str(exc.value) == message
