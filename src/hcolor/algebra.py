@@ -824,17 +824,21 @@ def format_op(t: OperationTable) -> str:
 
 def parse_op(text: str) -> OperationTable:
     head, (size, arity), body = read_records(text, "op", 2, "operation")
-    try:
-        values = tuple(int(ln.strip()) for ln in body)
-    except ValueError as exc:
-        raise InvalidFormat("bad operation file") from exc
     if size < 0 or arity < 0:
         raise InvalidFormat(f"negative size or arity: {head!r}")
     if size >= 2 and arity * size.bit_length() > 10_000:
         # size ** arity is over 2 ** 5000, so not len: not computed, nor formatted
-        raise InvalidFormat(f"expected {size}^{arity} values, found {len(values)}")
-    if len(values) != size ** arity:
-        raise InvalidFormat(f"expected {size ** arity} values, found {len(values)}")
+        raise InvalidFormat(f"expected {size}^{arity} values, found {len(body)}")
+    if len(body) != size ** arity:
+        raise InvalidFormat(f"expected {size ** arity} values, found {len(body)}")
+    try:
+        values = tuple(map(int, body))
+    except ValueError:
+        for ln in body:  # find the line to name
+            try:
+                int(ln)
+            except ValueError:
+                raise InvalidFormat(f"bad value line: {ln!r}") from None
     try:
         return OperationTable(size, arity, values)
     except ValueError as exc:

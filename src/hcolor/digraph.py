@@ -1,7 +1,8 @@
 """Core digraph representation: levels, connectivity, direct powers.
 
 Vertices are dense 0-based integers.  Digraphs are immutable after
-construction; every function here is pure.
+construction; every function here is pure.  What searches derive from a
+digraph is cached on the object, and dies with it (`Digraph.derived`).
 
 Powers are walked a row of tuples at a time: `PowerWalk` keeps one int
 mask of visited tuples per row, and both `diagonal_component` and the
@@ -56,6 +57,11 @@ class Digraph:
         for u, v in self.edges_sorted:
             inn[v].append(u)
         return tuple(tuple(ns) for ns in inn)
+
+    @cached_property
+    def derived(self) -> dict:
+        """Memo: `PowerWalk`'s half tables by half size, `edge_relation` by "relation"."""
+        return {}
 
     def __str__(self) -> str:
         return f"Digraph({self.vertex_count} vertices, {len(self.edges)} edges)"
@@ -147,14 +153,25 @@ def power_index(base: int, tup: tuple[int, ...]) -> int:
     return idx
 
 
-def _half_lists(nbrs: tuple[tuple[int, ...], ...], m: int) -> list[list[int]]:
-    """Per m-coordinate tuple index, its neighbours' indices (list products)."""
+def _half_lists(nbrs: tuple[tuple[int, ...], ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """Per m-coordinate tuple index, its neighbours' indices (tuple products)."""
     n = len(nbrs)
     lists = [[0]]
     for _ in range(m):
         lists = [[q * n + w for q in lists[p] for w in nbrs[c]]
                  for p in range(len(lists)) for c in range(n)]
-    return lists
+    return tuple(map(tuple, lists))
+
+
+def _half_tables(g: Digraph, m: int) -> tuple:
+    """g's out- and in-neighbour lists per m-coordinate tuple, their masks, and
+    the masks of the tuples with none; made once per digraph object."""
+    if (tables := g.derived.get(m)) is None:
+        lists = _half_lists(g.out_neighbors, m), _half_lists(g.in_neighbors, m)
+        masks = [tuple([sum(map((1).__lshift__, ls)) for ls in half]) for half in lists]
+        empty = [sum(1 << lo for lo, mask in enumerate(half) if not mask) for half in masks]
+        tables = g.derived[m] = (*lists, *masks, *empty)
+    return tables
 
 
 class PowerWalk:
@@ -167,7 +184,7 @@ class PowerWalk:
     neighbouring row by one `mask & ~visited[row]`.  `no_out` and `no_in`
     mask the `lo`s with no out- or in-neighbour in any row.  Merge rules
     come as tables on the same rows (see `visit`), so a row's merged `lo`s
-    are found by masks too.
+    are found by masks too.  Walks on one g share its `_half_tables`.
     """
 
     __slots__ = ("split", "visited", "out_rows", "in_rows", "out_lows", "out_mask", "in_mask",
@@ -175,15 +192,10 @@ class PowerWalk:
 
     def __init__(self, g: Digraph, k: int):
         self.split = g.vertex_count ** (k - k // 2)
-        halves = {m: (_half_lists(g.out_neighbors, m), _half_lists(g.in_neighbors, m))
-                  for m in {k // 2, k - k // 2}}
-        self.out_rows, self.in_rows = halves[k // 2]
+        self.out_rows, self.in_rows = _half_tables(g, k // 2)[:2]
         self.visited = [0] * len(self.out_rows)
-        self.out_lows, in_lows = halves[k - k // 2]
-        self.out_mask, self.in_mask = ([sum(map((1).__lshift__, ls)) for ls in half]
-                                       for half in (self.out_lows, in_lows))
-        self.no_out, self.no_in = (sum(1 << lo for lo, m in enumerate(masks) if not m)
-                                   for masks in (self.out_mask, self.in_mask))
+        (self.out_lows, _, self.out_mask, self.in_mask,
+         self.no_out, self.no_in) = _half_tables(g, k - k // 2)
 
     def visit(self, starts: list[int], merges=None, budget: int | None = None
               ) -> tuple[list[int], dict[int, list[int]]]:

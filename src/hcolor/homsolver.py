@@ -6,7 +6,8 @@ successor lists: each v in succ[u] asks for (value of u, value of v) in
 that relation.  Arc consistency queues variables, not pairs, and filters a
 popped variable's successors through the relation's memoized images, then
 its predecessors through the memoized preimages, in two written-out blocks;
-calls on one relation share its memos.  It propagates only from the
+calls on one relation share its memos, and every search on one target
+digraph object shares its one relation.  It propagates only from the
 variables it is given: a search node gives the variables it changed, and
 `_narrowed`, which starts from scratch, gives first the variables whose
 domain is not every value and then those still full.  The closure is
@@ -75,9 +76,12 @@ class Relation:
 
 
 def edge_relation(h: Digraph) -> Relation:
-    fwd = tuple(sum(1 << v for v in vs) for vs in h.out_neighbors)
-    rev = tuple(sum(1 << u for u in us) for us in h.in_neighbors)
-    return Relation(h.vertex_count, fwd, rev)
+    """h's edge relation, one per digraph object, so searches on h share its memos."""
+    if (rel := h.derived.get("relation")) is None:
+        fwd = tuple(sum(1 << v for v in vs) for vs in h.out_neighbors)
+        rev = tuple(sum(1 << u for u in us) for us in h.in_neighbors)
+        rel = h.derived["relation"] = Relation(h.vertex_count, fwd, rev)
+    return rel
 
 
 @dataclass(frozen=True)
@@ -236,15 +240,16 @@ def _narrowed(inst: CspInstance) -> list[int] | None:
 
 
 class _NodeCounter:
-    __slots__ = ("left",)
+    __slots__ = ("left", "budget", "variables")
 
-    def __init__(self, budget: int | None):
-        self.left = budget
+    def __init__(self, budget: int | None, variables: int):
+        self.left, self.budget, self.variables = budget, budget, variables
 
     def tick(self) -> None:
         if self.left is not None:
             if self.left <= 0:
-                raise BudgetExceeded("search node budget exhausted")
+                raise BudgetExceeded(f"search node budget {self.budget} exhausted "
+                                     f"on a {self.variables}-variable instance")
             self.left -= 1
 
 
@@ -339,7 +344,7 @@ def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[i
     domains = _narrowed(inst)
     if domains is None:
         return None
-    found = _search(domains, inst, _NodeCounter(node_budget))
+    found = _search(domains, inst, _NodeCounter(node_budget, len(domains)))
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)

@@ -12,17 +12,18 @@ Searches never build the whole quotient.  `find_polymorphism` grows one
 component at a time by a `digraph.PowerWalk` over the implicit power
 digraph, which follows power edges and merge links a row of tuples at a
 time; the merge rules are tables on the walk's rows, built once per set of
-merge rules and target size (`_merge_tables`).  The components holding
-pinned tuples are built first, all of them, so that inconsistent pins
-surface before any solving; they are then solved smallest first (by class
-count, then smallest tuple), and the first refuted one ends the search.
-Pinned components hold the diagonal, where idempotency makes refutations
-bite, so a refutation usually touches a small fraction of the power;
-`refuted_on_pins` runs this stage alone.  Only when every pinned component
-is solved are the remaining components built and solved, in the same
-order.  Classes are numbered by their smallest tuple, so every
-sub-instance, and hence every table found, is the one the full
-construction gives.
+merge rules and target size (`_merge_tables`), like the pinned tuples
+(`_pin_targets`); the walk's half tables and the edge relation live on the
+target digraph object.  The components holding pinned tuples are built
+first, all of them, so that inconsistent pins surface before any solving;
+they are then solved smallest first (by class count, then smallest tuple),
+and the first refuted one ends the search.  Pinned components hold the
+diagonal, where idempotency makes refutations bite, so a refutation
+usually touches a small fraction of the power; `refuted_on_pins` runs this
+stage alone.  Only when every pinned component is solved are the remaining
+components built and solved, in the same order.  Classes are numbered by
+their smallest tuple, so every sub-instance, and hence every table found,
+is the one the full construction gives.
 
 A tuple -> class dict lives only inside `_LazyIndicator.close` (and, for
 the pin tuples, `pinned_components`), never while solving: a component
@@ -235,13 +236,17 @@ def _merge_tables(sys: IdentitySystem, n: int) -> tuple[tuple[int, ...], tuple]:
     return tuple(linked), tuple(rules)
 
 
-def _pin_targets(sys: IdentitySystem, n: int):
-    """(tuple index, forced value) per pin substitution, in rule order."""
+@lru_cache(maxsize=4)
+def _pin_targets(sys: IdentitySystem, n: int) -> tuple[tuple[int, int], ...]:
+    """(tuple index, forced value) per pin substitution, in rule order;
+    callers drop the merges, as for `_merge_tables`."""
+    targets: list[tuple[int, int]] = []
     for pattern, var, ranges in sys.pins:
         variables = tuple(sorted(set(pattern)))
         domains = _domains(variables, ranges, n)
-        yield from zip(_dots(_weights(pattern, variables, n), domains),
+        targets += zip(_dots(_weights(pattern, variables, n), domains),
                        _dots([int(v == var) for v in variables], domains))
+    return tuple(targets)
 
 
 def _tuple_count(n: int, k: int, budget: int) -> int:
@@ -270,7 +275,7 @@ def indicator(h: Digraph, sys: IdentitySystem,
 
     domains = [(1 << n) - 1] * len(classes)
     pinned: dict[int, int] = {}
-    for t, val in _pin_targets(sys, n):
+    for t, val in _pin_targets(IdentitySystem(k, pins=sys.pins), n):
         c = class_of[t]
         if pinned.setdefault(c, val) != val:
             raise InconsistentPins(
@@ -344,8 +349,8 @@ class _LazyIndicator:
     def __init__(self, h: Digraph, sys: IdentitySystem, budget: int):
         n = self.n = h.vertex_count
         self.total = _tuple_count(n, sys.arity, budget)
-        self.sys = sys
         self.merges = _merge_tables(IdentitySystem(sys.arity, sys.merges), n)
+        self.pins = _pin_targets(IdentitySystem(sys.arity, pins=sys.pins), n)
         self.walk = PowerWalk(h, sys.arity)
         self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
         self.rel = edge_relation(h)
@@ -412,10 +417,9 @@ class _LazyIndicator:
     def pinned_components(self) -> list[_Component]:
         """Every component holding a pinned tuple, pins applied; raises
         InconsistentPins before any of them could be solved."""
-        pins = list(_pin_targets(self.sys, self.n))
         comps: list[_Component] = []
-        where = dict.fromkeys(t for t, _ in pins)  # tuple -> (component, class)
-        for start, _ in pins:
+        where = dict.fromkeys(t for t, _ in self.pins)  # tuple -> (component, class)
+        for start, _ in self.pins:
             if where[start] is None:  # not in an earlier pinned component
                 comp = self.close(start)
                 for t, c in zip(comp.tuples, comp.classes):
@@ -423,7 +427,7 @@ class _LazyIndicator:
                         where[t] = (len(comps), c)
                 comps.append(comp)
         forced: dict[tuple[int, int], int] = {}
-        for t, val in pins:
+        for t, val in self.pins:
             ci, c = cls = where[t]
             if forced.setdefault(cls, val) != val:
                 comp = comps[ci]  # a class's run starts at its smallest tuple

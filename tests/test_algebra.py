@@ -135,6 +135,11 @@ class TestOperationTable:
         ("op 2 1\n0\n2\n", "table value out of range"),
         ("op 2 -1\n", "negative size or arity: 'op 2 -1'"),
         ("op -2 2\n0\n0\n0\n0\n", "negative size or arity: 'op -2 2'"),
+        # the line as read is quoted, as `.dg` quotes a bad edge line
+        ("op 2 1\n0\nx\n", "bad value line: 'x'"),
+        ("op 2 1\n0\n x \n", "bad value line: ' x '"),
+        # the header is checked before any value line is read
+        ("op -1 2\n" + "x\n" * 5, "negative size or arity: 'op -1 2'"),
     ])
     def test_parse_op_rejects(self, text, message):
         with pytest.raises(InvalidFormat) as exc:

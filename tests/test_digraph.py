@@ -1,3 +1,4 @@
+import weakref
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from corpus import random_digraph as corpus_digraph
 from hcolor.algebra import parse_op
 from hcolor.digraph import (
     Digraph,
+    PowerWalk,
     compute_levels,
     connected_components,
     diagonal_component,
@@ -19,6 +21,7 @@ from hcolor.digraph import (
     read_records,
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
+from hcolor.homsolver import edge_relation
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import parse_stree
 from reference import direct_power, power_tuple, two_walk_levels
@@ -193,6 +196,35 @@ class TestDiagonalComponent:
             message = f"diagonal component exceeded budget {size - 1}"
             with pytest.raises(BudgetExceeded, match=message):
                 diagonal_component(g, n, budget=size - 1)
+
+
+class TestSharedTables:
+    """Walks on one digraph object share its half tables, never their
+    visited masks, and the tables die with the digraph."""
+
+    CYCLE = ((0, 1), (1, 2), (2, 0), (2, 3))
+
+    def test_walks_share_tables_not_state(self):
+        g = Digraph.from_edges(4, self.CYCLE)
+        first, second = PowerWalk(g, 3), PowerWalk(g, 3)
+        assert first.out_rows is second.out_rows and first.out_mask is second.out_mask
+        assert first.visit([power_index(4, (0, 0, 0))])[0]
+        assert any(first.visited) and not any(second.visited)
+
+    def test_repeated_diagonal_components_agree(self):
+        g = Digraph.from_edges(4, self.CYCLE)
+        once = diagonal_component(g, 3)
+        assert diagonal_component(g, 3) == once
+        assert diagonal_component(Digraph.from_edges(4, self.CYCLE), 3) == once
+
+    def test_tables_die_with_the_digraph(self):
+        g = Digraph.from_edges(4, self.CYCLE)
+        diagonal_component(g, 3)
+        edge_relation(g)
+        assert set(g.derived) == {1, 2, "relation"}
+        ref = weakref.ref(g)
+        del g  # no module-level table, and no cycle, keeps it alive
+        assert ref() is None
 
 
 class TestOrientedTree:

@@ -453,20 +453,32 @@ class TestBucketsBounded:
         assert seen["picks"] > 1000 and seen["stale"] > 0, seen
 
     def test_long_siggers_search(self, monkeypatch):
-        # the Siggers search on this looped 5-vertex digraph runs through
-        # thousands of nodes on a 505-variable component
-        edges = [(v, v) for v in range(5)] + [
-            (int(a), int(b)) for a, b in "02 03 10 13 14 23 24 30 31 32 40 41 42 43".split()]
+        # the Siggers search on the tail digraph runs through thousands of
+        # nodes on a 505-variable component
         seen = self.checking_picks(monkeypatch, 16)
         with pytest.raises(BudgetExceeded):
-            find_siggers(Digraph.from_edges(5, edges), node_budget=3000)
+            find_siggers(tail_digraph(), node_budget=3000)
         assert seen["picks"] > 1000 and seen["stale"] > 0, seen
+
+
+def tail_digraph() -> Digraph:
+    """The looped 5-vertex digraph whose one pinned Siggers component, 505
+    classes, is the slowest search of its size."""
+    edges = [(v, v) for v in range(5)] + [
+        (int(a), int(b)) for a, b in "02 03 10 13 14 23 24 30 31 32 40 41 42 43".split()]
+    return Digraph.from_edges(5, edges)
+
+
+def test_node_budget_error_names_budget_and_instance_size():
+    with pytest.raises(BudgetExceeded) as exc:
+        find_siggers(tail_digraph(), node_budget=2000)
+    assert str(exc.value) == "search node budget 2000 exhausted on a 505-variable instance"
 
 
 def search_outcome(search, domains, inst, budget=None):
     """(assignment or None, nodes) of a search, or ("budget", nodes) when
     the node budget runs out; nodes counts the values tried."""
-    counter = _NodeCounter(10 ** 9 if budget is None else budget)
+    counter = _NodeCounter(10 ** 9 if budget is None else budget, len(domains))
     start = counter.left
     try:
         found = search(list(domains), inst, counter)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from corpus import all_digraphs, loopless_digraphs_up_to_iso, random_special_trees, relabel
-from hcolor import homsolver, polysearch
+from hcolor import digraph, homsolver, polysearch
 from hcolor.algebra import (
     OperationTable,
     format_op,
@@ -22,7 +22,7 @@ from hcolor.algebra import (
     is_tsi,
     is_wnu,
 )
-from hcolor.classify import compute_core
+from hcolor.classify import classify_special_tree, compute_core
 from hcolor.digraph import Digraph, connected_components
 from hcolor.errors import BudgetExceeded, InconsistentPins, VerificationFailed
 from hcolor.minpath import OrientedPath
@@ -390,7 +390,7 @@ class TestLazyMatchesFullIndicator:
         assert lone_group(h, sys_) == {1, 2, 3, 4, 7, 8, 11, 12, 13, 14}
         got = outcome(find_polymorphism, h, sys_, node_budget=0)
         assert got == outcome(reference_search, h, sys_, node_budget=0)
-        assert got == ("BudgetExceeded", "search node budget exhausted")
+        assert got == ("BudgetExceeded", "search node budget 0 exhausted on a 1-variable instance")
         assert outcome(find_polymorphism, h, sys_) is None
 
     def test_top_bottom_wnu_on_corpus_trees(self):
@@ -735,6 +735,49 @@ class TestWorkCounts:
             lambda h=h: find_majority(h), lambda h=h: find_siggers(h))]
         assert len(graphs) == 22
         assert self.counts(monkeypatch, searches) == (516, 191, 1090)
+
+
+# the searches of one item of the benchmark's poly_dense workload, in its order
+DENSE_SEARCHES = (lambda h: find_wnu(h, 2), lambda h: find_wnu(h, 3), find_majority,
+                  find_siggers)
+
+
+class TestSharedSetUp:
+    """Searches on one target digraph object derive its walk tables and its
+    edge relation once, and sharing them changes no table found."""
+
+    def set_ups(self, monkeypatch, run) -> tuple[int, int]:
+        """(`_half_lists` calls, relations built) while `run` runs."""
+        halves = count_calls(monkeypatch, digraph, "_half_lists")
+        relations = count_calls(monkeypatch, homsolver, "Relation")
+        run()
+        return len(halves), len(relations)
+
+    def test_four_searches_on_one_digraph(self, monkeypatch):
+        # half sizes 1 and 2, each out and in; the re-checks of the found
+        # tables use the searches' relation
+        h = Digraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        found = []
+        assert self.set_ups(monkeypatch, lambda: found.extend(
+            search(h) for search in DENSE_SEARCHES)) == (4, 1)
+        assert None not in found
+
+    def test_triad_classification(self, monkeypatch):
+        # WNU3 and Siggers searches and core probes on one core digraph
+        assert self.set_ups(monkeypatch, lambda: classify_special_tree(canned_triad())) == (4, 1)
+
+    def test_shared_tables_find_the_fresh_tables(self):
+        def op_bytes(tables) -> str:
+            return "".join(format_op(t) if t is not None else "none\n" for t in tables)
+
+        graphs = loopless_digraphs_up_to_iso(4)
+        assert len(graphs) == 218
+        for h in graphs:
+            fresh = [search(Digraph.from_edges(4, h.edges)) for search in DENSE_SEARCHES]
+            forward = [search(h) for search in DENSE_SEARCHES]
+            g = Digraph.from_edges(4, h.edges)
+            backward = [search(g) for search in reversed(DENSE_SEARCHES)][::-1]
+            assert op_bytes(forward) == op_bytes(backward) == op_bytes(fresh), sorted(h.edges)
 
 
 class TestSuccessorLists:
