@@ -14,7 +14,8 @@ checkout, never written) it prints each side's median and quartiles, the
 change's wins and its percent change of the median, whether a claimed gain
 holds (at least 9 wins in 10, and a median gap wider than the base's
 quartile spread) and whether the metric stays within its bound (the median
-worse by at most that fraction of the base's).  Every pair is printed too.
+worse by at most that fraction of the base's).  Every pair is printed too,
+and last each checkout's line count of src/ (`wc -l src/hcolor/*.py`).
 It exits 1 when a run fails, is not `correct` or has `failed` > 0.
 """
 
@@ -45,6 +46,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, size: str
     if not result.get("correct") or result.get("failed", 1) > 0:
         result["error"] = f"correct={result.get('correct')} failed={result.get('failed')}"
     return result
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of the checkout's src/hcolor/*.py, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "hcolor").glob("*.py"))
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -114,6 +120,9 @@ def main() -> int:
             print(f"  {name:<13} {cells[0]:<30} {cells[1]:<30} {got['percent']:+7.1f}% "
                   f"{got['wins']:>2}/{got['pairs']:<3}  {'holds' if got['claim'] else 'no':<5}  "
                   f"{'holds' if got['bound'] else 'BROKEN'} ({metric['bound']:g})")
+    lines = {side: src_lines(path) for side, path in sides.items()}
+    print(f"src/ lines: base {lines['base']}, change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
     return 1 if failed else 0
 
 

@@ -29,7 +29,6 @@ from .errors import (
     NotWNU,
     PreconditionViolated,
 )
-from .homsolver import edge_relation
 from .spectree import SpecialTree, dist_e, e_neighborhood, preceq
 
 DEFAULT_POLY_BUDGET = 5_000_000
@@ -192,7 +191,7 @@ def is_polymorphism(h: Digraph, op: Operation,
 
 def _table_preserves_edges(h: Digraph, table: OperationTable) -> bool:
     n, values, edges = table.size, table.values, h.edges_sorted
-    succ = edge_relation(h).fwd
+    succ = h.out_masks
     for prefix in product(edges, repeat=table.arity - 1):
         tail = head = 0
         for u, v in prefix:

@@ -40,7 +40,7 @@ from .errors import (
     NoneFound,
     VerificationFailed,
 )
-from .homsolver import CspInstance, build_instance, is_homomorphism, solve_instance
+from .homsolver import CspInstance, is_homomorphism, solve_instance
 from .polysearch import (
     DEFAULT_INDICATOR_BUDGET,
     find_majority,
@@ -86,15 +86,14 @@ def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...]
 
     g is a core iff every endomorphism is onto (Hell and Nesetril, 1992).
     For each vertex w in turn, one probe asks for an endomorphism that never
-    takes the value w; the probes share one relation and its memos.  The
+    takes the value w; the probes share g's edge masks and memos.  The
     first endomorphism found is re-checked and returned; when every probe
     is refuted, the refutations certify that g is a core.
     """
-    inst = build_instance(g, g)
     full = (1 << g.vertex_count) - 1
     for w in range(g.vertex_count):
         endo = solve_instance(CspInstance((full & ~(1 << w),) * g.vertex_count,
-                                          inst.relation, inst.succ), node_budget)
+                                          g, g.out_neighbors), node_budget)
         if endo is not None:
             _check_hom(g, g, endo, "endomorphism")
             return endo
@@ -373,10 +372,14 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
     dependent = ["wnu_extension", "special_polymer", "singleton_absorber",
                  "comparable_pair_absorption", "sset_identities",
                  "star_collapse_below", "anchor_star_absorption", "term_absorption"]
-    if tau is None:
+
+    def skip_rest(reason: str) -> dict:  # for every dependent check not yet in the report
         for key in dependent:
-            report[key] = "skipped: no top-and-bottom WNU"
+            report.setdefault(key, reason)
         return report
+
+    if tau is None:
+        return skip_rest("skipped: no top-and-bottom WNU")
 
     try:
         # extend_wnu re-checks its table, so a returned one passes
@@ -385,9 +388,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
     except (ConstructionStuck, BudgetExceeded) as exc:
         report["wnu_extension"] = (BUDGET_SKIPPED if isinstance(exc, BudgetExceeded)
                                    else f"fail: {exc}")
-        for key in dependent[1:]:
-            report[key] = "skipped: no full WNU"
-        return report
+        return skip_rest("skipped: no full WNU")
 
     _, polymer = make_special(full_wnu)
     report["special_polymer"] = "pass" if (
@@ -401,10 +402,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
         report["singleton_absorber"] = "pass"
     except NoneFound as exc:
         report["singleton_absorber"] = f"fail: {exc}"
-        for key in ("comparable_pair_absorption", "star_collapse_below",
-                    "anchor_star_absorption", "term_absorption"):
-            report[key] = "skipped: no absorber"
-        return report
+        return skip_rest("skipped: no absorber")
 
     side = tree.a_vertices if o in tree.a_vertices else tree.b_vertices
     ok14 = comparable_pair_failure(tree, o, polymer) is None and all(

@@ -2,7 +2,10 @@
 
 Vertices are dense 0-based integers.  Digraphs are immutable after
 construction; every function here is pure.  What searches derive from a
-digraph is cached on the object, and dies with it (`Digraph.derived`).
+digraph is cached on the object, and dies with it.  A digraph is also the
+homomorphism solver's one relation: its edges as bit masks per vertex (the
+power walks' half tables of size 1) and its loops as one mask, stepped
+along by `_union`, with the solver's image memos beside them.
 
 Powers are walked a row of tuples at a time: `PowerWalk` keeps one int
 mask of visited tuples per row, and both `diagonal_component` and the
@@ -59,12 +62,38 @@ class Digraph:
         return tuple(tuple(ns) for ns in inn)
 
     @cached_property
-    def derived(self) -> dict:
-        """Memo: `PowerWalk`'s half tables by half size, `edge_relation` by "relation"."""
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's out- and in-neighbours in one ascending list, duplicates kept."""
+        return tuple(tuple(sorted(o + i)) for o, i in zip(self.out_neighbors, self.in_neighbors))
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """out_masks[u]: the mask of u's out-neighbours."""
+        return _half_tables(self, 1)[2]
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """in_masks[v]: the mask of v's in-neighbours."""
+        return _half_tables(self, 1)[3]
+
+    @cached_property
+    def loop_mask(self) -> int:
+        return sum(1 << u for u, v in self.edges if u == v)
+
+    @cached_property
+    def images(self) -> dict[int, int]:
+        """Memo: mask -> its vertices' out-neighbours (`homsolver._ac_fixpoint`)."""
         return {}
 
-    def __str__(self) -> str:
-        return f"Digraph({self.vertex_count} vertices, {len(self.edges)} edges)"
+    @cached_property
+    def preimages(self) -> dict[int, int]:
+        """Memo: mask -> its vertices' in-neighbours."""
+        return {}
+
+    @cached_property
+    def derived(self) -> dict:
+        """Memo: `PowerWalk`'s half tables by half size."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -91,7 +120,7 @@ def connected_components(g: Digraph) -> list[frozenset[int]]:
         while queue:
             u = queue.popleft()
             comp.append(u)
-            for w in g.out_neighbors[u] + g.in_neighbors[u]:
+            for w in g.neighbors[u]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -143,6 +172,22 @@ def is_oriented_tree(g: Digraph) -> bool:
     if g.vertex_count == 0:
         return False
     return len(g.edges) == g.vertex_count - 1 and is_connected(g)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(rows: tuple[int, ...], mask: int) -> int:
+    """The union of rows[a] over the values a in mask: the image of mask
+    under a digraph's `out_masks`, or its preimage under `in_masks`."""
+    out = 0
+    for a in _bits(mask):
+        out |= rows[a]
+    return out
 
 
 def power_index(base: int, tup: tuple[int, ...]) -> int:

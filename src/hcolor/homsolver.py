@@ -1,23 +1,22 @@
 """Homomorphism decisions between digraphs.
 
-Variables carry bitmask domains over target vertices.  An instance has one
-binary relation (the target's edge relation) and gives its constraints as
-successor lists: each v in succ[u] asks for (value of u, value of v) in
-that relation.  Arc consistency queues variables, not pairs, and filters a
-popped variable's successors through the relation's memoized images, then
-its predecessors through the memoized preimages, in two written-out blocks;
-calls on one relation share its memos, and every search on one target
-digraph object shares its one relation.  It propagates only from the
-variables it is given: a search node gives the variables it changed, and
-`_narrowed`, which starts from scratch, gives first the variables whose
-domain is not every value and then those still full.  The closure is
-unique, so the order changes the work, never the domains.  Everything is
-deterministic: fixed variable order (smallest domain, lowest index) and
-ascending value order.  The search works on one domain list in place:
-each frame records the old domains of the variables its node changed and
-restores them on backtracking, and the branching variable comes from one
-lazy min-heap of variables per domain size, which holds each variable at
-most once.
+Variables carry bitmask domains over target vertices.  An instance is the
+domains, the target digraph (its one relation) and successor lists: each v
+in succ[u] asks for (value of u, value of v) to be an edge of the target.
+Arc consistency queues variables, not pairs, and filters a popped
+variable's successors through the target's memoized images (of its
+`out_masks`), then its predecessors through the memoized preimages, in two
+written-out blocks; every search on one target digraph object shares its
+masks and memos.  It propagates only from the variables it is given: a
+search node gives the variables it changed, and `_narrowed`, which starts
+from scratch, gives first the variables whose domain is not every value and
+then those still full.  The closure is unique, so the order changes the
+work, never the domains.  Everything is deterministic: fixed variable order
+(smallest domain, lowest index) and ascending value order.  The search
+works on one domain list in place: each frame records the old domains of
+the variables its node changed and restores them on backtracking, and the
+branching variable comes from one lazy min-heap of variables per domain
+size, which holds each variable at most once.
 """
 
 from __future__ import annotations
@@ -28,70 +27,18 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress
 
-from .digraph import Digraph
+from .digraph import Digraph, _bits, _union
 from .errors import BudgetExceeded, InvalidPin, VerificationFailed
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _union(rows: tuple[int, ...], mask: int) -> int:
-    """The union of rows[a] over the values a in mask: the image of mask
-    under `Relation.fwd`, or its preimage under `Relation.rev`."""
-    out = 0
-    for a in _bits(mask):
-        out |= rows[a]
-    return out
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Binary relation over 0..size-1 stored as per-value bitmasks."""
-
-    size: int
-    fwd: tuple[int, ...]  # fwd[a] = mask of b with (a, b) in the relation
-    rev: tuple[int, ...]  # rev[b] = mask of a with (a, b) in the relation
-
-    @cached_property
-    def preimages(self) -> dict[int, int]:
-        """Memo: mask -> values with a successor in mask (see `_ac_fixpoint`)."""
-        return {}
-
-    @cached_property
-    def images(self) -> dict[int, int]:
-        """Memo: mask -> values with a predecessor in mask (see `_ac_fixpoint`)."""
-        return {}
-
-    @cached_property
-    def diagonal(self) -> int:
-        mask = 0
-        for a in range(self.size):
-            if self.fwd[a] >> a & 1:
-                mask |= 1 << a
-        return mask
-
-
-def edge_relation(h: Digraph) -> Relation:
-    """h's edge relation, one per digraph object, so searches on h share its memos."""
-    if (rel := h.derived.get("relation")) is None:
-        fwd = tuple(sum(1 << v for v in vs) for vs in h.out_neighbors)
-        rev = tuple(sum(1 << u for u in us) for us in h.in_neighbors)
-        rel = h.derived["relation"] = Relation(h.vertex_count, fwd, rev)
-    return rel
 
 
 @dataclass(frozen=True)
 class CspInstance:
-    """Variables with vertex-subset domains over the relation's values;
+    """Variables with vertex-subset domains over the target's vertices;
     each v in succ[u] (u itself included for a self-loop) requires
-    (value of u, value of v) in the one relation."""
+    (value of u, value of v) to be an edge of the target."""
 
     domains: tuple[int, ...]
-    relation: Relation
+    target: Digraph
     succ: tuple[tuple[int, ...], ...]
 
     @cached_property
@@ -131,7 +78,7 @@ def build_instance(x: Digraph, h: Digraph, pins: dict[int, int] | None = None) -
         if not (0 <= val < h.vertex_count):
             raise InvalidPin(f"pin value {val} out of range")
         domains[var] &= 1 << val
-    return CspInstance(tuple(domains), edge_relation(h), x.out_neighbors)
+    return CspInstance(tuple(domains), h, x.out_neighbors)
 
 
 def _ac_fixpoint(domains: list[int], inst: CspInstance,
@@ -144,11 +91,11 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     already consistent), and the first narrowing of every other variable
     appends it and its old domain to the trail.  A popped variable x
     filters each successor to the image of its domain and each
-    predecessor to the preimage, both looked up in the relation's memos
+    predecessor to the preimage, both looked up in the target's memos
     (searches revisit few distinct domain masks, so the memos stay
     small); a variable whose domain shrinks is queued again.
     """
-    rel = inst.relation
+    h = inst.target
     succs, preds, _ = inst.adjacency
     changed, olds = trail
     queue = deque(changed)
@@ -156,7 +103,7 @@ def _ac_fixpoint(domains: list[int], inst: CspInstance,
     state = bytearray(len(domains))
     for x in queue:
         state[x] = 1
-    images, preimages, fwd, rev = rel.images, rel.preimages, rel.fwd, rel.rev
+    images, preimages, fwd, rev = h.images, h.preimages, h.out_masks, h.in_masks
     while queue:
         x = queue.popleft()
         state[x] = 2
@@ -208,7 +155,7 @@ def arc_consistency(inst: CspInstance) -> CspInstance | None:
     Sound: a value participating in any solution is never removed.
     """
     domains = _narrowed(inst)
-    return None if domains is None else CspInstance(tuple(domains), inst.relation, inst.succ)
+    return None if domains is None else CspInstance(tuple(domains), inst.target, inst.succ)
 
 
 def _narrowed(inst: CspInstance) -> list[int] | None:
@@ -225,12 +172,12 @@ def _narrowed(inst: CspInstance) -> list[int] | None:
     narrowed, or every one, the order is plain index order.
     """
     domains = list(inst.domains)
-    rel = inst.relation
+    h = inst.target
     for u in inst.adjacency[2]:
-        domains[u] &= rel.diagonal
+        domains[u] &= h.loop_mask
     if 0 in domains:
         return None
-    full = (1 << rel.size) - 1
+    full = (1 << h.vertex_count) - 1
     for wave in (full.__ne__, full.__eq__):
         seeds = list(compress(range(len(domains)), map(wave, domains)))
         # what the call records on the trail is dropped
@@ -348,7 +295,7 @@ def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[i
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)
-    fwd = inst.relation.fwd
+    fwd = inst.target.out_masks
     for u, vs in enumerate(inst.succ):
         for v in vs:
             if not fwd[assignment[u]] >> assignment[v] & 1:
@@ -390,8 +337,8 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
     if domains is None:
         return None
     n = len(domains)
-    rel = inst.relation
-    values = range(rel.size)
+    h = inst.target
+    values = range(h.vertex_count)
     outs = inst.adjacency[0]
     if n < 2:
         return {}
@@ -405,8 +352,8 @@ def consistency_23(inst: CspInstance) -> dict[tuple[int, int], frozenset] | None
         for v in vs:
             ru, rv = rows[(u, v)], rows[(v, u)]
             for a in values:
-                ru[a] &= rel.fwd[a]
-                rv[a] &= rel.rev[a]
+                ru[a] &= h.out_masks[a]
+                rv[a] &= h.in_masks[a]
     changed = True
     while changed:
         changed = False

@@ -11,9 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .digraph import Digraph
+from .digraph import Digraph, _union
 from .errors import HeightMismatch, NotMinimal, SearchExhausted, VerificationFailed
-from .homsolver import _union, edge_relation, solve_hom
+from .homsolver import solve_hom
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def common_onto_minimal_path(
     Inputs must be minimal paths of one common height h.  The search runs
     breadth-first over direction strings, '1' before '0'; a state keeps, per
     input path, the mask of positions an endpoint-pinned homomorphism can
-    currently occupy, stepped through the path's edge relation.  The result
+    currently occupy, stepped along the path's edges.  The result
     is re-verified with path_onto_hom before it is returned.
     """
     if not paths:
@@ -168,7 +168,7 @@ def common_onto_minimal_path(
     if max_len is None:
         max_len = max(4 * sum(p.length for p in paths), 4)
 
-    rels = [edge_relation(p.to_digraph()) for p in paths]
+    digraphs = [p.to_digraph() for p in paths]
     goals = [1 << p.length for p in paths]
     start = (0, (1,) * len(paths))
     seen = {start}
@@ -181,8 +181,8 @@ def common_onto_minimal_path(
             # minimality: level 0 only at the start, level h only at the end
             if not 1 <= nl <= h:
                 continue
-            npos = tuple(_union(rel.fwd if c == "1" else rel.rev, pm)
-                         for rel, pm in zip(rels, pos))
+            npos = tuple(_union(g.out_masks if c == "1" else g.in_masks, pm)
+                         for g, pm in zip(digraphs, pos))
             state = (nl, npos)
             if not all(npos) or state in seen:
                 continue

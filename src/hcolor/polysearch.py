@@ -13,17 +13,18 @@ component at a time by a `digraph.PowerWalk` over the implicit power
 digraph, which follows power edges and merge links a row of tuples at a
 time; the merge rules are tables on the walk's rows, built once per set of
 merge rules and target size (`_merge_tables`), like the pinned tuples
-(`_pin_targets`); the walk's half tables and the edge relation live on the
-target digraph object.  The components holding pinned tuples are built
-first, all of them, so that inconsistent pins surface before any solving;
-they are then solved smallest first (by class count, then smallest tuple),
-and the first refuted one ends the search.  Pinned components hold the
-diagonal, where idempotency makes refutations bite, so a refutation
-usually touches a small fraction of the power; `refuted_on_pins` runs this
-stage alone.  Only when every pinned component is solved are the remaining
-components built and solved, in the same order.  Classes are numbered by
-their smallest tuple, so every sub-instance, and hence every table found,
-is the one the full construction gives.
+(`_pin_targets`); the walk's half tables and the solver's edge masks and
+memos live on the target digraph object, every sub-instance's relation.
+The components holding pinned tuples are built first, all of them, so that
+inconsistent pins surface before any solving; they are then solved
+smallest first (by class count, then smallest tuple), and the first
+refuted one ends the search.  Pinned components hold the diagonal, where
+idempotency makes refutations bite, so a refutation usually touches a
+small fraction of the power; `refuted_on_pins` runs this stage alone.
+Only when every pinned component is solved are the remaining components
+built and solved, in the same order.  Classes are numbered by their
+smallest tuple, so every sub-instance, and hence every table found, is the
+one the full construction gives.
 
 A tuple -> class dict lives only inside `_LazyIndicator.close` (and, for
 the pin tuples, `pinned_components`), never while solving: a component
@@ -39,7 +40,7 @@ value goes to all of them.  The solver sees the same calls in the same
 order as with one component each.
 
 Many components of one search are the same sub-instance (same domains,
-same constraints, and within a search the same relation), so each search
+same constraints, and within a search the same target), so each search
 keeps a memo from sub-instance to assignment and solves each distinct one
 once.  The sub-instance is its `succ` (each class's sorted successor
 classes) and its `domains`; the memo is keyed by `succ` first, when
@@ -76,7 +77,7 @@ from .algebra import (
 )
 from .digraph import Digraph, PowerWalk, connected_components
 from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
-from .homsolver import CspInstance, edge_relation, solve_instance
+from .homsolver import CspInstance, solve_instance
 
 DEFAULT_INDICATOR_BUDGET = 4_000_000
 _UNSOLVED = object()
@@ -290,7 +291,7 @@ def indicator(h: Digraph, sys: IdentitySystem,
             tail = tail * n + u
             head = head * n + v
         succ[class_of[tail]].add(class_of[head])
-    inst = CspInstance(tuple(domains), edge_relation(h), tuple(tuple(sorted(s)) for s in succ))
+    inst = CspInstance(tuple(domains), h, tuple(tuple(sorted(s)) for s in succ))
     return Indicator(inst, tuple(class_of), k, n)
 
 
@@ -312,7 +313,7 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
     assignment: list[int | None] = [None] * inst.variable_count
     for comp in sorted(comps, key=key):
         index = {v: i for i, v in enumerate(comp)}
-        sub = CspInstance(tuple(inst.domains[v] for v in comp), inst.relation,
+        sub = CspInstance(tuple(inst.domains[v] for v in comp), inst.target,
                           tuple(tuple(index[w] for w in inst.succ[v]) for v in comp))
         found = solve_instance(sub, node_budget)
         if found is None:
@@ -353,7 +354,7 @@ class _LazyIndicator:
         self.pins = _pin_targets(IdentitySystem(sys.arity, pins=sys.pins), n)
         self.walk = PowerWalk(h, sys.arity)
         self.out_bases = [[r * self.walk.split for r in rows] for rows in self.walk.out_rows]
-        self.rel = edge_relation(h)
+        self.target = h
         # sub-instance -> answer: succ -> (one shared succ, domains -> answer)
         self.solutions: dict[tuple, tuple[tuple, dict]] = {}
 
@@ -457,7 +458,7 @@ class _LazyIndicator:
         comp.domains = comp.memo = None
         found = answers.get(domains, _UNSOLVED)
         if found is _UNSOLVED:
-            found = answers[domains] = solve_instance(CspInstance(domains, self.rel, succ),
+            found = answers[domains] = solve_instance(CspInstance(domains, self.target, succ),
                                                       node_budget)
         return found
 
@@ -504,13 +505,18 @@ def find_polymorphism(h: Digraph, sys: IdentitySystem, predicate=None,
     """A polymorphism of h satisfying the identity system, or None (exhaustive).
 
     A found table is re-checked to be a polymorphism and, when `predicate`
-    is given, to satisfy it; a failed re-check raises VerificationFailed.
+    is given, to satisfy it; a failed re-check raises VerificationFailed,
+    and one past `is_polymorphism`'s fixed budget a BudgetExceeded naming it.
     """
     values = _solve_lazily(h, sys, budget, node_budget)
     if values is None:
         return None
     table = OperationTable(h.vertex_count, sys.arity, values)
-    if not is_polymorphism(h, table):
+    try:
+        preserved = is_polymorphism(h, table)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"re-check of the found {sys.arity}-ary table: {exc}") from None
+    if not preserved:
         raise VerificationFailed("found table is not a polymorphism of the target")
     if predicate is not None and not predicate(table):
         raise VerificationFailed(f"found table fails {predicate.__name__}")

@@ -15,6 +15,8 @@ from functools import cached_property
 from .digraph import (
     Digraph,
     LevelAssignment,
+    _bits,
+    _union,
     compute_levels,
     is_connected,
     is_oriented_tree,
@@ -28,7 +30,6 @@ from .errors import (
     NotMinimal,
     VerificationFailed,
 )
-from .homsolver import _bits, _union, edge_relation
 from .minpath import (
     OrientedPath,
     common_onto_minimal_path,
@@ -103,18 +104,9 @@ class SpecialTree:
         return tuple((a, self.spec.a_count + b) for a, b, _ in self.spec.template_edges)
 
     @cached_property
-    def template_adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in sorted(self.a_vertices | self.b_vertices)}
-        for a, b in self.template_pairs:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    @cached_property
-    def tree_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        g = self.digraph
-        return tuple(
-            tuple(sorted(g.out_neighbors[v] + g.in_neighbors[v])) for v in range(g.vertex_count))
+    def template_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each top or bottom vertex's template neighbours, ascending."""
+        return Digraph.from_edges(self.spec.a_count + self.spec.b_count, self.template_pairs).neighbors
 
     def parents_from(self, root: int) -> tuple[int, ...]:
         """Parent array of the undirected tree rooted at `root` (root maps to itself)."""
@@ -123,7 +115,7 @@ class SpecialTree:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in self.tree_adjacency[u]:
+            for w in self.digraph.neighbors[u]:
                 if parent[w] < 0:
                     parent[w] = u
                     queue.append(w)
@@ -187,18 +179,17 @@ def _attached_paths(g: Digraph, levels: LevelAssignment, h: int
     Each returned triple is (bottom endpoint, top endpoint, direction string
     read from the bottom endpoint).
     """
-    adj = [sorted(g.out_neighbors[v] + g.in_neighbors[v]) for v in range(g.vertex_count)]
     paths = []
     for start in range(g.vertex_count):
         if levels[start]:
             continue
-        for first in adj[start]:
+        for first in g.neighbors[start]:
             walk = [start, first]
             while levels[walk[-1]] != h:
                 if not levels[walk[-1]]:
                     raise InvalidSpec(
                         f"path from {start} returns to level 0 at {walk[-1]}; not a special tree")
-                nxt = [w for w in adj[walk[-1]] if w != walk[-2]]
+                nxt = [w for w in g.neighbors[walk[-1]] if w != walk[-2]]
                 if len(nxt) != 1:
                     raise InvalidSpec(
                         f"interior vertex {walk[-1]} has degree != 2; not a special tree")
@@ -244,12 +235,11 @@ def recover_top_bottom(
     attached = _attached_paths(g, levels, h)
     distinct = sorted({str(p) for _, _, p in attached})
     q = common_onto_minimal_path([OrientedPath(s) for s in distinct])
-    rel = edge_relation(g)
     pairs = set()
     for start in range(g.vertex_count):
         reach = 1 << start
         for c in q.directions:
-            reach = _union(rel.fwd if c == "1" else rel.rev, reach)
+            reach = _union(g.out_masks if c == "1" else g.in_masks, reach)
         pairs.update((start, end) for end in _bits(reach))
     return a_set, b_set, frozenset(pairs)
 
@@ -259,7 +249,7 @@ def dist_e(tree: SpecialTree, x: int, y: int) -> int:
     the first k with y in E_k({x}), as walks in a tree first reach y at the
     distance."""
     adj = tree.template_adjacency
-    if x not in adj or y not in adj:
+    if not {x, y} <= tree.a_vertices | tree.b_vertices:
         raise ValueError("dist_e arguments must be template (top or bottom) vertices")
     cur = frozenset({x})
     for k in range(len(adj)):

@@ -36,12 +36,14 @@ from hcolor.digraph import (
     DEFAULT_POWER_BUDGET,
     Digraph,
     LevelAssignment,
+    _bits,
+    _union,
     compute_levels,
     connected_components,
     power_index,
 )
 from hcolor.errors import BudgetExceeded, ConstructionStuck, NotBalanced
-from hcolor.homsolver import CspInstance, _ac_fixpoint, _bits, _NodeCounter, _union, solve_hom
+from hcolor.homsolver import CspInstance, _ac_fixpoint, _NodeCounter, solve_hom
 from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -148,9 +150,9 @@ def search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> list
 def fifo_fixpoint(domains: list[int], inst: CspInstance) -> bool:
     """Arc consistency in place from every variable, queued in index order
     after the self-loop filter; False when a domain empties."""
-    rel = inst.relation
+    h = inst.target
     for u in inst.adjacency[2]:
-        domains[u] &= rel.diagonal
+        domains[u] &= h.loop_mask
         if not domains[u]:
             return False
     return fifo_wave(domains, inst, range(len(domains))) is not None
@@ -161,12 +163,12 @@ def two_wave_fixpoint(domains: list[int], inst: CspInstance) -> bool:
     waves in index order: from the variables whose domain is not every
     value, then from the variables that wave never narrowed; False when a
     domain is or becomes empty."""
-    rel = inst.relation
+    h = inst.target
     for u in inst.adjacency[2]:
-        domains[u] &= rel.diagonal
+        domains[u] &= h.loop_mask
     if 0 in domains:
         return False
-    full = (1 << rel.size) - 1
+    full = (1 << h.vertex_count) - 1
     seeds = [x for x, d in enumerate(domains) if d != full]
     narrowed = fifo_wave(domains, inst, seeds)
     if narrowed is None:
@@ -179,7 +181,7 @@ def two_wave_fixpoint(domains: list[int], inst: CspInstance) -> bool:
 def fifo_wave(domains: list[int], inst: CspInstance, seeds) -> set[int] | None:
     """Arc consistency in place from the seeds, one FIFO queue; the
     variables it narrowed, or None when a domain empties."""
-    rel = inst.relation
+    h = inst.target
     succs, preds, _ = inst.adjacency
     queue = deque(seeds)
     queued = [False] * len(domains)
@@ -193,7 +195,7 @@ def fifo_wave(domains: list[int], inst: CspInstance, seeds) -> set[int] | None:
         for nbrs, forward in ((succs[x], True), (preds[x], False)):
             key = (forward, domains[x])
             if key not in supports:
-                supports[key] = _union(rel.fwd if forward else rel.rev, domains[x])
+                supports[key] = _union(h.out_masks if forward else h.in_masks, domains[x])
             for y in nbrs:
                 narrowed = domains[y] & supports[key]
                 if narrowed != domains[y]:
@@ -212,19 +214,19 @@ def pair_consistency(inst: CspInstance) -> dict[tuple[int, int], frozenset] | No
     from the self-loop-filtered domains: a pair (a, b) on u < v stays while
     every third variable w has a value c with (a, c) kept on u, w and
     (b, c) kept on v, w.  None when a domain or a pair set empties."""
-    rel = inst.relation
+    h = inst.target
     n = len(inst.domains)
     arcs = {(u, v) for u, v in inst.constraints if u != v}
     domains = list(inst.domains)
     for u in inst.adjacency[2]:
-        domains[u] &= rel.diagonal
+        domains[u] &= h.loop_mask
     if 0 in domains:
         return None
     values = [list(_bits(d)) for d in domains]
 
     def allowed(u, a, v, b):
-        return (((u, v) not in arcs or rel.fwd[a] >> b & 1)
-                and ((v, u) not in arcs or rel.fwd[b] >> a & 1))
+        return (((u, v) not in arcs or h.out_masks[a] >> b & 1)
+                and ((v, u) not in arcs or h.out_masks[b] >> a & 1))
 
     pairs = {(u, v): {(a, b) for a in values[u] for b in values[v] if allowed(u, a, v, b)}
              for u in range(n) for v in range(u + 1, n)}

@@ -126,7 +126,7 @@ def avoidance_probes(g: Digraph) -> list[CspInstance]:
     """For each vertex w, the endomorphisms of g that never take the value w."""
     inst = build_instance(g, g)
     full = (1 << g.vertex_count) - 1
-    return [CspInstance((full & ~(1 << w),) * g.vertex_count, inst.relation, inst.succ)
+    return [CspInstance((full & ~(1 << w),) * g.vertex_count, inst.target, inst.succ)
             for w in range(g.vertex_count)]
 
 

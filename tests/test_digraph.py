@@ -1,3 +1,4 @@
+import random
 import weakref
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corpus import all_digraphs
 from corpus import random_digraph as corpus_digraph
 from hcolor.algebra import parse_op
 from hcolor.digraph import (
@@ -21,7 +23,7 @@ from hcolor.digraph import (
     read_records,
 )
 from hcolor.errors import BudgetExceeded, InvalidFormat, NotBalanced
-from hcolor.homsolver import edge_relation
+from hcolor.homsolver import solve_hom
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import parse_stree
 from reference import direct_power, power_tuple, two_walk_levels
@@ -220,11 +222,46 @@ class TestSharedTables:
     def test_tables_die_with_the_digraph(self):
         g = Digraph.from_edges(4, self.CYCLE)
         diagonal_component(g, 3)
-        edge_relation(g)
-        assert set(g.derived) == {1, 2, "relation"}
+        solve_hom(g, g)
+        assert set(g.derived) == {1, 2}
         ref = weakref.ref(g)
         del g  # no module-level table, and no cycle, keeps it alive
         assert ref() is None
+
+
+class TestEdgeTables:
+    """The solver's tables on a digraph are their definitions from its edges."""
+
+    @staticmethod
+    def digraphs() -> list[Digraph]:
+        """Every digraph on at most 3 vertices, and seeded looped ones on 4 to 7."""
+        rng = random.Random(28)
+        small = [g for n in range(4) for g in all_digraphs(n)]
+        return small + [corpus_digraph(rng, n, 0.4, loops=True)
+                        for n in range(4, 8) for _ in range(30)]
+
+    def test_tables_match_edges(self):
+        for g in self.digraphs():
+            vs, edges = range(g.vertex_count), g.edges
+            outs = [[v for v in vs if (u, v) in edges] for u in vs]
+            ins = [[u for u in vs if (u, v) in edges] for v in vs]
+            assert g.out_masks == tuple(sum(1 << v for v in ws) for ws in outs)
+            assert g.in_masks == tuple(sum(1 << u for u in ws) for ws in ins)
+            assert g.loop_mask == sum(1 << v for v in vs if (v, v) in edges)
+            assert g.neighbors == tuple(tuple(sorted(o + i)) for o, i in zip(outs, ins))
+
+    def test_memos_hold_images(self):
+        rng = random.Random(7)
+        filled = 0
+        for _ in range(40):
+            g = corpus_digraph(rng, 6, 0.4, loops=True)
+            solve_hom(corpus_digraph(rng, 6, 0.3), g)
+            filled += len(g.images) + len(g.preimages)
+            for mask, image in g.images.items():
+                assert image == sum(1 << v for v in {v for u, v in g.edges if mask >> u & 1})
+            for mask, preimage in g.preimages.items():
+                assert preimage == sum(1 << u for u in {u for u, v in g.edges if mask >> v & 1})
+        assert filled > 100
 
 
 class TestOrientedTree:

@@ -80,7 +80,7 @@ class TestBuildInstance:
             looped += bool(inst.adjacency[2])
             succ = tuple(tuple(sorted(rng.sample(range(7), rng.randint(0, 4))))
                          for _ in range(7))
-            inst = CspInstance((3,) * 7, inst.relation, succ)
+            inst = CspInstance((3,) * 7, inst.target, succ)
             assert inst.constraints == tuple((u, v) for u, vs in enumerate(succ) for v in vs)
             assert inst.adjacency == reference_adjacency(inst)
         assert looped
@@ -128,8 +128,8 @@ class TestArcConsistency:
 def reference_ac(inst):
     """Arc consistency by plain sweeps: every pair revised both ways until
     nothing changes; None when a domain empties."""
-    fwd, rev = inst.relation.fwd, inst.relation.rev
-    values = range(inst.relation.size)
+    fwd, rev = inst.target.out_masks, inst.target.in_masks
+    values = range(inst.target.vertex_count)
     doms = list(inst.domains)
     changed = True
     while changed:
@@ -159,7 +159,7 @@ def random_looped_digraph(rng, max_n, density):
 def loop_filtered(inst: CspInstance) -> list[int]:
     """The domains with each self-looped variable cut to the diagonal."""
     loops = inst.adjacency[2]
-    return [d & inst.relation.diagonal if u in loops else d for u, d in enumerate(inst.domains)]
+    return [d & inst.target.loop_mask if u in loops else d for u, d in enumerate(inst.domains)]
 
 
 class TestFixpointAgainstReference:
@@ -211,7 +211,7 @@ def logging_pops(inst: CspInstance) -> tuple[CspInstance, list[int]]:
     succs, preds, loops = inst.adjacency
     logged = _PopLog(succs)
     logged.log = []
-    copy = CspInstance(inst.domains, inst.relation, inst.succ)
+    copy = CspInstance(inst.domains, inst.target, inst.succ)
     copy.__dict__["adjacency"] = (logged, preds, loops)
     return copy, logged.log
 

@@ -174,6 +174,15 @@ class TestFindTsi:
         with pytest.raises(BudgetExceeded):
             find_tsi(TRIANGLE, 4, budget=80)
 
+    def test_recheck_past_its_budget_names_itself(self):
+        # a table is found on the looped K7; its re-check meets
+        # is_polymorphism's fixed cap, as 49^4 edge tuples exceed 5,000,000
+        k7 = Digraph.from_edges(7, product(range(7), repeat=2))
+        with pytest.raises(BudgetExceeded) as exc:
+            find_tsi(k7, 4)
+        assert str(exc.value) == ("re-check of the found 4-ary table: "
+                                  "49^4 edge tuples exceed budget 5000000")
+
     def test_pattern_merges_join_exactly_equal_argument_sets(self):
         for k, n in product(range(1, 5), range(1, 5)):
             merged = Digraph.from_edges(n ** k, polysearch._merge_pairs(tsi_system(k), n))
@@ -251,7 +260,7 @@ class TestQuotientSoundness:
                     if any(not inst.domains[v] >> assign[v] & 1
                            for v in range(inst.variable_count)):
                         continue
-                    if all(inst.relation.fwd[assign[u]] >> assign[v] & 1
+                    if all(inst.target.out_masks[assign[u]] >> assign[v] & 1
                            for u, v in inst.constraints):
                         count += 1
                 tables = sum(
@@ -743,24 +752,28 @@ DENSE_SEARCHES = (lambda h: find_wnu(h, 2), lambda h: find_wnu(h, 3), find_major
 
 
 class TestSharedSetUp:
-    """Searches on one target digraph object derive its walk tables and its
-    edge relation once, and sharing them changes no table found."""
+    """Searches on one target digraph object derive its walk tables, its
+    edge masks and the solver's image memos once, and sharing them changes
+    no table found."""
 
     def set_ups(self, monkeypatch, run) -> tuple[int, int]:
-        """(`_half_lists` calls, relations built) while `run` runs."""
+        """(`_half_lists` calls, image memos made) while `run` runs."""
         halves = count_calls(monkeypatch, digraph, "_half_lists")
-        relations = count_calls(monkeypatch, homsolver, "Relation")
+        memos = count_calls(monkeypatch, vars(Digraph)["images"], "func")
         run()
-        return len(halves), len(relations)
+        return len(halves), len(memos)
 
     def test_four_searches_on_one_digraph(self, monkeypatch):
-        # half sizes 1 and 2, each out and in; the re-checks of the found
-        # tables use the searches' relation
+        # half sizes 1 and 2, each out and in; the solver's edge masks are
+        # the half tables of size 1, and the re-checks of the found tables
+        # use them too
         h = Digraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         found = []
         assert self.set_ups(monkeypatch, lambda: found.extend(
             search(h) for search in DENSE_SEARCHES)) == (4, 1)
         assert None not in found
+        assert h.out_masks is digraph._half_tables(h, 1)[2]
+        assert h.in_masks is digraph._half_tables(h, 1)[3]
 
     def test_triad_classification(self, monkeypatch):
         # WNU3 and Siggers searches and core probes on one core digraph
