@@ -15,12 +15,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hcolor.classify import classify_special_tree
+from hcolor.errors import Budget
 from hcolor.spectree import canned_triad
 
 if __name__ == "__main__":
     wall = float(sys.argv[1]) if len(sys.argv) > 1 else None
     t0 = time.time()
-    report = classify_special_tree(canned_triad(), wall_budget=wall)
+    report = classify_special_tree(canned_triad(), Budget(wall=wall))
     payload = report.to_dict()
     payload["wall_seconds"] = round(time.time() - t0, 1)
     print(json.dumps(payload, indent=2))

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component, power_index, read_records
+from .digraph import Digraph, diagonal_component, power_index, read_records
 from .errors import (
     ArityBudgetExceeded,
+    Budget,
     BudgetExceeded,
     ConstructionStuck,
     DistanceNotUniform,
@@ -31,8 +32,7 @@ from .errors import (
 )
 from .spectree import SpecialTree, dist_e, e_neighborhood, preceq
 
-DEFAULT_POLY_BUDGET = 5_000_000
-DEFAULT_ARITY_BUDGET = 1 << 16
+ARITY_BUDGET = 1 << 16  # the largest arity `compose_pointing` builds
 DEFAULT_CLOSURE_BUDGET = 1_000_000
 
 
@@ -162,7 +162,7 @@ def restriction_is_wnu(t: OperationTable, subset: frozenset[int]) -> bool:
 
 
 def is_polymorphism(h: Digraph, op: Operation,
-                    budget: int = DEFAULT_POLY_BUDGET) -> bool:
+                    budget: int = Budget().power) -> bool:
     """Edge preservation, exhaustive over edge tuples within the budget.
 
     A table is checked by index arithmetic: for each choice of the first
@@ -370,6 +370,8 @@ def compose_pointing(f_cert: WeakPointingCertificate,
     with one f witness in the distinguished block; idempotency of f makes
     the repeated blocks collapse to g's witness entries.
     """
+    if f_cert.op.arity * g_cert.op.arity > ARITY_BUDGET:
+        raise ArityBudgetExceeded("composed certificate exceeds arity budget")
     if f_cert.op.size != g_cert.op.size:
         raise PreconditionViolated("certificates must share a base set")
     if not verify_weak_pointing(f_cert) or not verify_weak_pointing(g_cert):
@@ -567,8 +569,7 @@ def _commutative_gamma(c_list: list[int], star: OperationTable,
 
 
 def _point_pair(tree: SpecialTree, anchor: int, c_list: list[int],
-                star: OperationTable, x: int, y: int,
-                arity_budget: int) -> WeakPointingCertificate:
+                star: OperationTable, x: int, y: int) -> WeakPointingCertificate:
     """A symmetric certificate pointing {x, y} to a singleton.
 
     Induction on the size of the pair's term set: either one of x, y already
@@ -596,15 +597,11 @@ def _point_pair(tree: SpecialTree, anchor: int, c_list: list[int],
     if not (smaller | {xp, yp}) < (values | {x, y}):
         raise ConstructionStuck("pair recursion measure did not shrink")
     first = certify({(x, c): xp, (c, x): xp, (y, c): yp, (c, y): yp}, c, {xp, yp})
-    rest = _point_pair(tree, anchor, c_list, star, xp, yp, arity_budget)
-    if first.op.arity * rest.op.arity > arity_budget:
-        raise ArityBudgetExceeded("composed pair certificate exceeds arity budget")
-    return compose_pointing(first, rest)
+    return compose_pointing(first, _point_pair(tree, anchor, c_list, star, xp, yp))
 
 
-def build_pointing_for_neighborhood(
-        tree: SpecialTree, anchor: int, c_set: frozenset[int], star: OperationTable,
-        arity_budget: int = DEFAULT_ARITY_BUDGET) -> WeakPointingCertificate:
+def build_pointing_for_neighborhood(tree: SpecialTree, anchor: int, c_set: frozenset[int],
+                                    star: OperationTable) -> WeakPointingCertificate:
     """A certificate weakly pointing a neighborhood subuniverse to a singleton.
 
     c_set must consist of template neighbors of the anchor, be closed under
@@ -624,7 +621,7 @@ def build_pointing_for_neighborhood(
         if len(xs) == 1:
             return trivial_pointing(star, xs[0])
         x, y = xs[0], xs[1]
-        pair_cert = _point_pair(tree, anchor, c_list, star, x, y, arity_budget)
+        pair_cert = _point_pair(tree, anchor, c_list, star, x, y)
         if pair_cert.alpha is None:
             raise ConstructionStuck("pair certificate carries no symmetric map")
         targets = frozenset(pair_cert.alpha[u] for u in xs)
@@ -634,17 +631,13 @@ def build_pointing_for_neighborhood(
             raise ConstructionStuck("widened pair certificate failed verification")
         if len(targets) >= len(xs):
             raise ConstructionStuck("pointing did not shrink the set")
-        rest = point_set(tuple(sorted(targets)))
-        if widened.op.arity * rest.op.arity > arity_budget:
-            raise ArityBudgetExceeded("composed certificate exceeds arity budget")
-        return compose_pointing(widened, rest)
+        return compose_pointing(widened, point_set(tuple(sorted(targets))))
 
     return point_set(tuple(c_list))
 
 
-def build_pointing_for_af(
-        tree: SpecialTree, c_set: frozenset[int], o: int, polymer: OperationTable,
-        arity_budget: int = DEFAULT_ARITY_BUDGET) -> WeakPointingCertificate:
+def build_pointing_for_af(tree: SpecialTree, c_set: frozenset[int], o: int,
+                          polymer: OperationTable) -> WeakPointingCertificate:
     """Pointing certificate for an absorption-free subuniverse of A or B.
 
     Recursion on the common template distance from o: project through the
@@ -664,11 +657,11 @@ def build_pointing_for_af(
     if k == 0:
         return trivial_pointing(star, o)
     if k == 1:
-        return build_pointing_for_neighborhood(tree, o, c_set, star, arity_budget)
+        return build_pointing_for_neighborhood(tree, o, c_set, star)
     d_set = e_neighborhood(tree, c_set, 1) & e_neighborhood(tree, frozenset({o}), k - 1)
     if len(d_set) == 1:
         (d,) = d_set
-        return build_pointing_for_neighborhood(tree, d, c_set, star, arity_budget)
+        return build_pointing_for_neighborhood(tree, d, c_set, star)
     eta: dict[int, int] = {}
     for c in sorted(c_set):
         toward = [w for w in tree.template_adjacency[c] if dist_e(tree, o, w) == k - 1]
@@ -677,7 +670,7 @@ def build_pointing_for_af(
         eta[c] = toward[0]
     if set(eta.values()) != d_set:
         raise ConstructionStuck("toward-o projection is not onto the image set")
-    upper = build_pointing_for_af(tree, frozenset(d_set), o, polymer, arity_budget)
+    upper = build_pointing_for_af(tree, frozenset(d_set), o, polymer)
     (d,) = upper.y_set
     fiber = frozenset(c for c in c_set if eta[c] == d)
     preimages: dict[int, int] = {}
@@ -692,10 +685,7 @@ def build_pointing_for_af(
         upper.op, c_set, fiber, tuple(lifted_witnesses))
     if not verify_weak_pointing(lifted):
         raise ConstructionStuck("lifted certificate failed verification")
-    finish = build_pointing_for_neighborhood(tree, d, fiber, star, arity_budget)
-    if lifted.op.arity * finish.op.arity > arity_budget:
-        raise ArityBudgetExceeded("composed certificate exceeds arity budget")
-    return compose_pointing(lifted, finish)
+    return compose_pointing(lifted, build_pointing_for_neighborhood(tree, d, fiber, star))
 
 
 # full-domain WNU extension
@@ -772,8 +762,7 @@ def _wnu_extension_values(tree: SpecialTree, tau: OperationTable,
     return out
 
 
-def extend_wnu(tree: SpecialTree, tau: OperationTable,
-               power_budget: int = DEFAULT_POWER_BUDGET,
+def extend_wnu(tree: SpecialTree, tau: OperationTable, budget: Budget = Budget(),
                delta: frozenset[int] | None = None) -> OperationTable:
     """Turn a polymorphism that is a WNU on the top and bottom levels into a
     WNU on the whole tree.
@@ -786,8 +775,9 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
     The least-vertex order ranks attached paths by template edge index and
     breaks ties toward the bottom endpoint.  The table is built by one
     index walk over the power (`_wnu_extension_values`) and re-checked.
-    `delta` is the diagonal component of the n-th power when the caller
-    already has it (None: computed here).
+    The n-th power is held to the record's power budget.  `delta` is the
+    diagonal component of the n-th power when the caller already has it
+    (None: computed here).
     """
     n = tau.arity
     h = tree.digraph
@@ -802,10 +792,10 @@ def extend_wnu(tree: SpecialTree, tau: OperationTable,
         raise PreconditionViolated("input is not a WNU on the bottom level")
     if not restriction_is_wnu(tau, tree.b_vertices):
         raise PreconditionViolated("input is not a WNU on the top level")
-    if size ** n > power_budget:
+    if size ** n > budget.power:
         raise BudgetExceeded("power membership set exceeds budget")
     if delta is None:
-        delta = diagonal_component(h, n, power_budget)
+        delta = diagonal_component(h, n, budget.power)
     out = OperationTable(size, n, tuple(_wnu_extension_values(tree, tau, delta)))
     if not is_polymorphism(h, out):
         raise ConstructionStuck("extension is not a polymorphism")

@@ -27,13 +27,9 @@ from .algebra import (
     s_set,
     star_table,
 )
-from .digraph import (
-    DEFAULT_POWER_BUDGET,
-    Digraph,
-    diagonal_component,
-    power_index,
-)
+from .digraph import Digraph, diagonal_component, power_index
 from .errors import (
+    Budget,
     BudgetExceeded,
     ConstructionStuck,
     HcolorError,
@@ -42,7 +38,6 @@ from .errors import (
 )
 from .homsolver import CspInstance, is_homomorphism, solve_instance
 from .polysearch import (
-    DEFAULT_INDICATOR_BUDGET,
     find_majority,
     find_siggers,
     find_wnu,
@@ -81,7 +76,7 @@ def _check_hom(x: Digraph, h: Digraph, mapping: tuple[int, ...], what: str) -> N
         raise VerificationFailed(f"core step: {what} is not a homomorphism")
 
 
-def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...] | None:
+def _proper_endomorphism(g: Digraph, budget: Budget) -> tuple[int, ...] | None:
     """An endomorphism that is not onto, or None when g is a core.
 
     g is a core iff every endomorphism is onto (Hell and Nesetril, 1992).
@@ -93,7 +88,7 @@ def _proper_endomorphism(g: Digraph, node_budget: int | None) -> tuple[int, ...]
     full = (1 << g.vertex_count) - 1
     for w in range(g.vertex_count):
         endo = solve_instance(CspInstance((full & ~(1 << w),) * g.vertex_count,
-                                          g, g.out_neighbors), node_budget)
+                                          g, g.out_neighbors), budget)
         if endo is not None:
             _check_hom(g, g, endo, "endomorphism")
             return endo
@@ -112,7 +107,7 @@ def _idempotent_power(endo: tuple[int, ...]) -> tuple[int, ...]:
     return r
 
 
-def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
+def compute_core(g: Digraph, budget: Budget = Budget()) -> CoreResult:
     """Iterated proper retractions down to a structure with none left.
 
     Each step takes the first vertex-avoiding endomorphism a probe finds,
@@ -124,7 +119,7 @@ def compute_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
     overall = tuple(range(g.vertex_count))  # original vertex -> current vertex
     embedding = tuple(range(g.vertex_count))  # current vertex -> original vertex
     while True:
-        endo = _proper_endomorphism(current, node_budget)
+        endo = _proper_endomorphism(current, budget)
         if endo is None:
             break
         retr = _idempotent_power(endo)
@@ -164,11 +159,8 @@ class ClassificationReport:
         return asdict(self)
 
 
-def classify_special_tree(spec: SpecialTreeSpec,
-                          node_budget: int | None = None,
-                          indicator_budget: int = DEFAULT_INDICATOR_BUDGET,
-                          seed: int = 0,
-                          wall_budget: float | None = None) -> ClassificationReport:
+def classify_special_tree(spec: SpecialTreeSpec, budget: Budget = Budget(),
+                          seed: int = 0) -> ClassificationReport:
     """Compile, take the core, decide Taylor via the Siggers search.
 
     Refuted on the core means NP-complete; found means bounded width for a
@@ -182,39 +174,33 @@ def classify_special_tree(spec: SpecialTreeSpec,
         "a_count": spec.a_count,
         "b_count": spec.b_count,
     }
-    return _classify(tree.digraph, summary, True, node_budget, indicator_budget,
-                     seed, wall_budget)
+    return _classify(tree.digraph, summary, True, budget, seed)
 
 
-def classify_digraph(g: Digraph,
-                     node_budget: int | None = None,
-                     indicator_budget: int = DEFAULT_INDICATOR_BUDGET,
-                     seed: int = 0,
-                     wall_budget: float | None = None) -> ClassificationReport:
+def classify_digraph(g: Digraph, budget: Budget = Budget(), seed: int = 0) -> ClassificationReport:
     """Same pipeline for arbitrary digraphs; the verdict is capped at the
     Taylor / not-Taylor distinction."""
     summary = {"vertices": g.vertex_count, "edges": len(g.edges)}
-    return _classify(g, summary, False, node_budget, indicator_budget, seed, wall_budget)
+    return _classify(g, summary, False, budget, seed)
 
 
-def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
-              indicator_budget: int, seed: int,
-              wall_budget: float | None) -> ClassificationReport:
+def _classify(g: Digraph, summary: dict, special: bool, budget: Budget,
+              seed: int) -> ClassificationReport:
     """Core, then (special trees only) width certificates, then Siggers.
 
     The width stage first probes the WNU3 indicator's pinned components: a
     refuted one refutes the whole indicator and so every majority operation
     too.  Otherwise, or when the probe runs out of budget, it searches for
-    majority, and for a WNU3 unless majority was found.  Budget exhaustion
-    folds into UNDETERMINED.  The wall budget is advisory: it is consulted
-    before each search (and the probe) only.
+    majority, and for a WNU3 unless majority was found.  Every stage runs
+    under the one budget record, whose deadline the searches test as they
+    go; exhaustion folds into UNDETERMINED.
     """
     started = time.perf_counter()
     timings: dict[str, float] = {}
     width: dict[str, str] = {}
     seeds: dict = {"seed": seed}
     try:
-        core = compute_core(g, node_budget).core
+        core = compute_core(g, budget).core
     except BudgetExceeded:
         core = None
     timings["core"] = time.perf_counter() - started
@@ -222,19 +208,12 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
         return ClassificationReport(summary, False, -1, "budget_exceeded", width,
                                     UNDETERMINED, timings, seeds)
 
-    def run(find, *args):
-        """One search on the core while the wall budget lasts: its result,
-        or "budget_exceeded"."""
-        if wall_budget is not None and time.perf_counter() - started >= wall_budget:
-            return "budget_exceeded"
+    def search(find, *args) -> str:
+        """One search on the core: "found", "none" or "budget_exceeded"."""
         try:
-            return find(core, *args, indicator_budget, node_budget)
+            return "none" if find(core, *args, budget) is None else "found"
         except BudgetExceeded:
             return "budget_exceeded"
-
-    def search(find, *args) -> str:
-        found = run(find, *args)
-        return found if isinstance(found, str) else "none" if found is None else "found"
 
     if special:
         try:
@@ -245,7 +224,11 @@ def _classify(g: Digraph, summary: dict, special: bool, node_budget: int | None,
             return ClassificationReport(summary, True, core.vertex_count, "not_attempted",
                                         width, UNDETERMINED, timings, seeds)
         t0 = time.perf_counter()
-        if run(refuted_on_pins, wnu_system(3)) is True:
+        try:
+            refuted = refuted_on_pins(core, wnu_system(3), budget)
+        except BudgetExceeded:
+            refuted = False
+        if refuted:
             width["majority"] = width["wnu3"] = "none"
         else:
             width["majority"] = search(find_majority)
@@ -343,10 +326,7 @@ def _check_anchor_absorption(tree: SpecialTree, o: int, polymer, star) -> tuple[
     return ("pass", "pass")
 
 
-def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
-                       indicator_budget: int = DEFAULT_INDICATOR_BUDGET,
-                       node_budget: int | None = None,
-                       power_budget: int = DEFAULT_POWER_BUDGET) -> dict:
+def verify_lemma_suite(spec: SpecialTreeSpec, budget: Budget = Budget(), seed: int = 0) -> dict:
     """Instance-level checks of the structural facts behind the classifier.
 
     Checks needing a top-and-bottom WNU are skipped when the search finds
@@ -356,14 +336,12 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
     tree = compile_tree(spec)
     report: dict = {"seed": seed, "vertices": tree.digraph.vertex_count}
     size = tree.digraph.vertex_count
-    deltas = {n: diagonal_component(tree.digraph, n, power_budget)
-              if size ** n <= power_budget else None for n in (2, 3)}
+    deltas = {n: diagonal_component(tree.digraph, n, budget.power)
+              if size ** n <= budget.power else None for n in (2, 3)}
     for n, delta in deltas.items():
         report[f"diagonal_containment_n{n}"] = _check_diagonal_containment(tree, n, delta)
     try:
-        tau = find_wnu_on_top_bottom(
-            tree.digraph, 3, tree.a_vertices, tree.b_vertices,
-            indicator_budget, node_budget)
+        tau = find_wnu_on_top_bottom(tree.digraph, 3, tree.a_vertices, tree.b_vertices, budget)
     except BudgetExceeded:
         tau = None
         report["top_bottom_wnu"] = BUDGET_SKIPPED
@@ -383,7 +361,7 @@ def verify_lemma_suite(spec: SpecialTreeSpec, seed: int = 0,
 
     try:
         # extend_wnu re-checks its table, so a returned one passes
-        full_wnu = extend_wnu(tree, tau, power_budget, deltas[3])
+        full_wnu = extend_wnu(tree, tau, budget, deltas[3])
         report["wnu_extension"] = "pass"
     except (ConstructionStuck, BudgetExceeded) as exc:
         report["wnu_extension"] = (BUDGET_SKIPPED if isinstance(exc, BudgetExceeded)

@@ -24,17 +24,11 @@ from .classify import (
     compute_core,
     verify_lemma_suite,
 )
-from .digraph import DEFAULT_POWER_BUDGET, format_dg, parse_dg
-from .errors import BudgetExceeded, HcolorError
+from .digraph import format_dg, parse_dg
+from .errors import Budget, BudgetExceeded, HcolorError
 from .homsolver import arc_consistency, build_instance, consistency_23, solve_hom
 from .minpath import OrientedPath
-from .polysearch import (
-    DEFAULT_INDICATOR_BUDGET,
-    find_majority,
-    find_siggers,
-    find_tsi,
-    find_wnu,
-)
+from .polysearch import find_majority, find_siggers, find_tsi, find_wnu
 from .spectree import (
     compile_tree,
     format_roles,
@@ -70,8 +64,16 @@ def _checked(convert, ok, message: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "must be positive")
-_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be nonnegative")
-_POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "must be positive")  # NaN fails
+# the type of each `--budget-*` flag, named after its `Budget` field; NaN seconds fail
+_BUDGET_FLAGS = {"nodes": _checked(int, lambda v: v >= 0, "must be nonnegative"),
+                 "indicator": _POSITIVE_INT, "power": _POSITIVE_INT,
+                 "wall": _checked(float, lambda v: v > 0, "must be positive")}
+
+
+def _budget(args) -> Budget:
+    """The record of the `--budget-*` flags given; its defaults stand in for the rest."""
+    return Budget(**{name: value for name in _BUDGET_FLAGS
+                     if (value := getattr(args, f"budget_{name}", None)) is not None})
 
 
 def _read(path: str, parse):
@@ -124,7 +126,7 @@ def _cmd_solve(args) -> int:
     h = _read(args.target, parse_dg)
     pins = _parse_pins(args.pin)
     if args.method == "bt":
-        found = solve_hom(x, h, pins, args.budget_nodes)
+        found = solve_hom(x, h, pins, args.budget)
         if found is None:
             print("no homomorphism")
             return EXIT_NONE
@@ -154,15 +156,14 @@ def _cmd_poly(args) -> int:
     if args.arity is not None and kind not in ("wnu", "tsi"):
         raise HcolorError(f"--arity applies to --kind wnu or tsi, not {kind}")
     h = _read(args.target, parse_dg)
-    budgets = (args.budget_indicator, args.budget_nodes)
     if kind == "wnu":
-        table = find_wnu(h, _given_or(args.arity, 3), *budgets)
+        table = find_wnu(h, _given_or(args.arity, 3), args.budget)
     elif kind == "majority":
-        table = find_majority(h, *budgets)
+        table = find_majority(h, args.budget)
     elif kind == "siggers":
-        table = find_siggers(h, *budgets)
+        table = find_siggers(h, args.budget)
     else:
-        table = find_tsi(h, _given_or(args.arity, 2), *budgets)
+        table = find_tsi(h, _given_or(args.arity, 2), args.budget)
     if table is None:
         print(f"no {kind} polymorphism")
         return EXIT_NONE
@@ -173,11 +174,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    params = (args.budget_nodes, args.budget_indicator, args.seed, args.budget_wall)
     if args.tree:
-        report = classify_special_tree(_read(args.tree, parse_stree), *params)
+        report = classify_special_tree(_read(args.tree, parse_stree), args.budget, args.seed)
     else:
-        report = classify_digraph(_read(args.input, parse_dg), *params)
+        report = classify_digraph(_read(args.input, parse_dg), args.budget, args.seed)
     _emit_json(report.to_dict(), args.json)
     if report.verdict in (BOUNDED_WIDTH, TAYLOR):
         return EXIT_FOUND
@@ -187,7 +187,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    result = compute_core(_read(args.input, parse_dg), args.budget_nodes)
+    result = compute_core(_read(args.input, parse_dg), args.budget)
     if args.out is not None:
         _write(args.out, format_dg(result.core))
     print(f"core size {result.core.vertex_count}")
@@ -198,8 +198,7 @@ def _cmd_core(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _read(args.tree, parse_stree)
-    report = verify_lemma_suite(
-        spec, args.seed, args.budget_indicator, args.budget_nodes, args.budget_power)
+    report = verify_lemma_suite(spec, args.budget, args.seed)
     _emit_json(report, args.json)
     verdicts = [v for v in report.values() if isinstance(v, str)]
     if any(v.startswith("fail") for v in verdicts):
@@ -235,17 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Special oriented trees: homomorphisms, polymorphisms, dichotomy")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    budget_flags = {
-        "nodes": {"type": _NONNEGATIVE_INT, "default": None},
-        "indicator": {"type": _POSITIVE_INT, "default": DEFAULT_INDICATOR_BUDGET},
-        "power": {"type": _POSITIVE_INT, "default": DEFAULT_POWER_BUDGET},
-        "wall": {"type": _POSITIVE_SECONDS, "default": None},
-    }
-
     def budgets(p, *names):
         # each subcommand registers only the budgets it reads
         for name in names:
-            p.add_argument(f"--budget-{name}", **budget_flags[name])
+            p.add_argument(f"--budget-{name}", type=_BUDGET_FLAGS[name])
 
     p = sub.add_parser("build", help="compile a tree template to a digraph")
     p.add_argument("--tree", required=True)
@@ -319,6 +311,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else 0
     try:
+        args.budget = _budget(args)  # the deadline runs from here
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import BudgetExceeded, InvalidFormat, NotBalanced
-
-DEFAULT_POWER_BUDGET = 5_000_000
+from .errors import Budget, BudgetExceeded, InvalidFormat, NotBalanced
 
 
 @dataclass(frozen=True)
@@ -325,7 +323,7 @@ class PowerWalk:
         return lone
 
 
-def diagonal_component(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> frozenset[int]:
+def diagonal_component(g: Digraph, n: int, budget: int = Budget().power) -> frozenset[int]:
     """Indices of power tuples weakly connected to some diagonal tuple.
 
     Walks the power with a `PowerWalk`, so only the component itself

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the budget record."""
+
+from time import perf_counter
 
 
 class HcolorError(Exception):
@@ -10,7 +12,31 @@ class NotBalanced(HcolorError):
 
 
 class BudgetExceeded(HcolorError):
-    """A size or node budget was hit before the operation finished."""
+    """A size, node or wall budget was hit before the operation finished."""
+
+
+class Budget:
+    """The budgets of one run, a field per `--budget-*` flag: search nodes
+    per solver call, indicator tuples (and a found table's re-check edge
+    tuples), power-set tuples, and seconds from the making of the record
+    to its deadline (None: no limit).  Solver calls test the deadline every
+    1024 nodes, polymorphism searches before each component they build or
+    solve."""
+
+    __slots__ = ("nodes", "indicator", "power", "wall", "deadline")
+
+    def __init__(self, nodes: int | None = None, indicator: int = 4_000_000,
+                 power: int = 5_000_000, wall: float | None = None):
+        self.nodes, self.indicator, self.power, self.wall = nodes, indicator, power, wall
+        self.deadline = None if wall is None else perf_counter() + wall
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and perf_counter() >= self.deadline:
+            raise BudgetExceeded(f"wall budget of {self.wall} s exhausted")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Budget) and all(
+            getattr(self, f) == getattr(other, f) for f in ("nodes", "indicator", "power", "wall"))
 
 
 class HeightMismatch(HcolorError):

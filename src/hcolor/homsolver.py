@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from itertools import compress
 
 from .digraph import Digraph, _bits, _union
-from .errors import BudgetExceeded, InvalidPin, VerificationFailed
+from .errors import Budget, BudgetExceeded, InvalidPin, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -187,17 +187,26 @@ def _narrowed(inst: CspInstance) -> list[int] | None:
 
 
 class _NodeCounter:
-    __slots__ = ("left", "budget", "variables")
+    """One search's nodes against the node budget, granted 1024 at a time
+    (fewer up to the budget); each grant after the first tests the deadline."""
 
-    def __init__(self, budget: int | None, variables: int):
-        self.left, self.budget, self.variables = budget, budget, variables
+    __slots__ = ("left", "granted", "budget", "variables")
+
+    def __init__(self, budget: Budget, variables: int):
+        self.left, self.granted, self.budget, self.variables = 0, 0, budget, variables
 
     def tick(self) -> None:
-        if self.left is not None:
-            if self.left <= 0:
-                raise BudgetExceeded(f"search node budget {self.budget} exhausted "
-                                     f"on a {self.variables}-variable instance")
+        if self.left:
             self.left -= 1
+            return
+        nodes, granted = self.budget.nodes, self.granted
+        if nodes is not None and granted >= nodes:
+            raise BudgetExceeded(f"search node budget {nodes} exhausted "
+                                 f"on a {self.variables}-variable instance")
+        if granted:
+            self.budget.check_deadline()
+        step = 1024 if nodes is None else min(1024, nodes - granted)
+        self.granted, self.left = granted + step, step - 1
 
 
 class _Buckets:
@@ -285,13 +294,13 @@ def _search(domains: list[int], inst: CspInstance, counter: _NodeCounter) -> lis
     return None
 
 
-def solve_instance(inst: CspInstance, node_budget: int | None = None) -> tuple[int, ...] | None:
+def solve_instance(inst: CspInstance, budget: Budget = Budget()) -> tuple[int, ...] | None:
     """Backtracking with support filtering at every node, on one domain
     list: the first fixpoint and the search both change it in place."""
     domains = _narrowed(inst)
     if domains is None:
         return None
-    found = _search(domains, inst, _NodeCounter(node_budget, len(domains)))
+    found = _search(domains, inst, _NodeCounter(budget, len(domains)))
     if found is None:
         return None
     assignment = tuple(d.bit_length() - 1 for d in found)
@@ -315,10 +324,10 @@ def is_homomorphism(x: Digraph, h: Digraph, mapping: tuple[int, ...],
 
 
 def solve_hom(x: Digraph, h: Digraph, pins: dict[int, int] | None = None,
-              node_budget: int | None = None) -> tuple[int, ...] | None:
+              budget: Budget = Budget()) -> tuple[int, ...] | None:
     """A verified homomorphism x -> h respecting the pins, or None."""
     inst = build_instance(x, h, pins)
-    found = solve_instance(inst, node_budget)
+    found = solve_instance(inst, budget)
     if found is not None and not is_homomorphism(x, h, found, pins):
         raise VerificationFailed("solver result is not a homomorphism respecting the pins")
     return found

@@ -76,10 +76,9 @@ from .algebra import (
     is_wnu,
 )
 from .digraph import Digraph, PowerWalk, connected_components
-from .errors import BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
+from .errors import Budget, BudgetExceeded, InconsistentPins, InvalidParams, VerificationFailed
 from .homsolver import CspInstance, solve_instance
 
-DEFAULT_INDICATOR_BUDGET = 4_000_000
 _UNSOLVED = object()
 
 Pattern = tuple[str, ...]
@@ -257,8 +256,7 @@ def _tuple_count(n: int, k: int, budget: int) -> int:
     return total
 
 
-def indicator(h: Digraph, sys: IdentitySystem,
-              budget: int = DEFAULT_INDICATOR_BUDGET) -> Indicator:
+def indicator(h: Digraph, sys: IdentitySystem, budget: Budget = Budget()) -> Indicator:
     """The homomorphism instance whose solutions are exactly the operations
     satisfying the identity system.
 
@@ -267,7 +265,7 @@ def indicator(h: Digraph, sys: IdentitySystem,
     """
     n = h.vertex_count
     k = sys.arity
-    total = _tuple_count(n, k, budget)
+    total = _tuple_count(n, k, budget.indicator)
     classes = connected_components(Digraph.from_edges(total, _merge_pairs(sys, n)))
     class_of = [0] * total
     for c, part in enumerate(classes):
@@ -295,8 +293,7 @@ def indicator(h: Digraph, sys: IdentitySystem,
     return Indicator(inst, tuple(class_of), k, n)
 
 
-def solve_indicator(ind: Indicator, node_budget: int | None = None
-                    ) -> tuple[int, ...] | None:
+def solve_indicator(ind: Indicator, budget: Budget = Budget()) -> tuple[int, ...] | None:
     """Assignment per class, or None.
 
     Components carrying pinned classes go first (those hold the diagonal,
@@ -315,7 +312,7 @@ def solve_indicator(ind: Indicator, node_budget: int | None = None
         index = {v: i for i, v in enumerate(comp)}
         sub = CspInstance(tuple(inst.domains[v] for v in comp), inst.target,
                           tuple(tuple(index[w] for w in inst.succ[v]) for v in comp))
-        found = solve_instance(sub, node_budget)
+        found = solve_instance(sub, budget)
         if found is None:
             return None
         for v, val in zip(comp, found):
@@ -347,9 +344,10 @@ class _LazyIndicator:
     """The indicator instance of h and an identity system, built one
     component at a time."""
 
-    def __init__(self, h: Digraph, sys: IdentitySystem, budget: int):
+    def __init__(self, h: Digraph, sys: IdentitySystem, budget: Budget):
         n = self.n = h.vertex_count
-        self.total = _tuple_count(n, sys.arity, budget)
+        self.total = _tuple_count(n, sys.arity, budget.indicator)
+        self.budget = budget
         self.merges = _merge_tables(IdentitySystem(sys.arity, sys.merges), n)
         self.pins = _pin_targets(IdentitySystem(sys.arity, pins=sys.pins), n)
         self.walk = PowerWalk(h, sys.arity)
@@ -359,8 +357,9 @@ class _LazyIndicator:
         self.solutions: dict[tuple, tuple[tuple, dict]] = {}
 
     def close(self, start: int) -> _Component:
-        """The unvisited component of `start`, over power edges both ways and
-        merges, with unrestricted domains and its successor lists."""
+        """The unvisited component of `start` (after a deadline test), over power
+        edges both ways and merges, with unrestricted domains and its successor lists."""
+        self.budget.check_deadline()
         tuples, partners = self.walk.visit([start], self.merges)
         class_of, count = {}, 0  # tuple -> class, class count
         tuples.sort()
@@ -449,44 +448,42 @@ class _LazyIndicator:
                 comps.append(self.close(row * split + (~m & (m + 1)).bit_length() - 1))
         return comps
 
-    def solve(self, comp: _Component, node_budget: int | None) -> tuple[int, ...] | None:
+    def solve(self, comp: _Component) -> tuple[int, ...] | None:
         """The component's assignment, or None; each distinct sub-instance
-        is solved once.  The component lets go of its domains and memo
-        entry."""
+        is solved once, after a deadline test.  The component lets go of its
+        domains and memo entry."""
         succ, answers = comp.memo
         domains = tuple(comp.domains)
         comp.domains = comp.memo = None
         found = answers.get(domains, _UNSOLVED)
         if found is _UNSOLVED:
+            self.budget.check_deadline()
             found = answers[domains] = solve_instance(CspInstance(domains, self.target, succ),
-                                                      node_budget)
+                                                      self.budget)
         return found
 
-    def solved(self, node_budget: int | None, *stages):
+    def solved(self, *stages):
         """(component, assignment or None) per component of each stage in
         turn, smallest first within one; the caller stops at a refuted one."""
         for components in stages:
             for comp in sorted(components(), key=_Component.order):
-                yield comp, self.solve(comp, node_budget)
+                yield comp, self.solve(comp)
 
 
-def refuted_on_pins(h: Digraph, sys: IdentitySystem, budget: int = DEFAULT_INDICATOR_BUDGET,
-                    node_budget: int | None = None) -> bool:
+def refuted_on_pins(h: Digraph, sys: IdentitySystem, budget: Budget = Budget()) -> bool:
     """Whether a pinned component of the indicator is refuted, which refutes
     the system; the solver sees `find_polymorphism`'s calls up to there."""
     lazy = _LazyIndicator(h, sys, budget)
-    return any(found is None for _, found in lazy.solved(node_budget, lazy.pinned_components))
+    return any(found is None for _, found in lazy.solved(lazy.pinned_components))
 
 
-def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
-                  node_budget: int | None) -> tuple[int, ...] | None:
+def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: Budget) -> tuple[int, ...] | None:
     """The table values `solve_indicator(indicator(h, sys))` gives, or None:
     the pinned components smallest first, then the rest smallest first,
     stopping at the first refuted one."""
     lazy = _LazyIndicator(h, sys, budget)
     solved: list[tuple[_Component, tuple[int, ...]]] = []
-    for comp, found in lazy.solved(node_budget, lazy.pinned_components,
-                                   lazy.remaining_components):
+    for comp, found in lazy.solved(lazy.pinned_components, lazy.remaining_components):
         if found is None:
             return None
         solved.append((comp, found))
@@ -500,20 +497,19 @@ def _solve_lazily(h: Digraph, sys: IdentitySystem, budget: int,
 
 
 def find_polymorphism(h: Digraph, sys: IdentitySystem, predicate=None,
-                      budget: int = DEFAULT_INDICATOR_BUDGET,
-                      node_budget: int | None = None) -> OperationTable | None:
+                      budget: Budget = Budget()) -> OperationTable | None:
     """A polymorphism of h satisfying the identity system, or None (exhaustive).
 
     A found table is re-checked to be a polymorphism and, when `predicate`
     is given, to satisfy it; a failed re-check raises VerificationFailed,
-    and one past `is_polymorphism`'s fixed budget a BudgetExceeded naming it.
+    and one past the indicator budget (in edge tuples) a BudgetExceeded.
     """
-    values = _solve_lazily(h, sys, budget, node_budget)
+    values = _solve_lazily(h, sys, budget)
     if values is None:
         return None
     table = OperationTable(h.vertex_count, sys.arity, values)
     try:
-        preserved = is_polymorphism(h, table)
+        preserved = is_polymorphism(h, table, budget.indicator)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"re-check of the found {sys.arity}-ary table: {exc}") from None
     if not preserved:
@@ -523,17 +519,15 @@ def find_polymorphism(h: Digraph, sys: IdentitySystem, predicate=None,
     return table
 
 
-def find_wnu(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
-             node_budget: int | None = None) -> OperationTable | None:
+def find_wnu(h: Digraph, k: int, budget: Budget = Budget()) -> OperationTable | None:
     """A verified k-ary idempotent WNU polymorphism, or None (exhaustive)."""
     if k < 2:
         raise InvalidParams("WNU arity must be at least 2")
-    return find_polymorphism(h, wnu_system(k), is_wnu, budget, node_budget)
+    return find_polymorphism(h, wnu_system(k), is_wnu, budget)
 
 
 def find_wnu_on_top_bottom(h: Digraph, k: int, a_set, b_set,
-                           budget: int = DEFAULT_INDICATOR_BUDGET,
-                           node_budget: int | None = None) -> OperationTable | None:
+                           budget: Budget = Budget()) -> OperationTable | None:
     """A verified idempotent polymorphism that restricts to WNUs on both
     given sets, or None (exhaustive)."""
     sets = [tuple(sorted(a_set)), tuple(sorted(b_set))]
@@ -541,28 +535,24 @@ def find_wnu_on_top_bottom(h: Digraph, k: int, a_set, b_set,
     def is_wnu_on_top_bottom(table: OperationTable) -> bool:
         return is_idempotent(table) and all(_wnu_on(table, vals) for vals in sets)
 
-    return find_polymorphism(h, wnu_on_sets_system(k, sets), is_wnu_on_top_bottom,
-                             budget, node_budget)
+    return find_polymorphism(h, wnu_on_sets_system(k, sets), is_wnu_on_top_bottom, budget)
 
 
-def find_majority(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,
-                  node_budget: int | None = None) -> OperationTable | None:
-    return find_polymorphism(h, majority_system(), is_majority, budget, node_budget)
+def find_majority(h: Digraph, budget: Budget = Budget()) -> OperationTable | None:
+    return find_polymorphism(h, majority_system(), is_majority, budget)
 
 
-def find_siggers(h: Digraph, budget: int = DEFAULT_INDICATOR_BUDGET,
-                 node_budget: int | None = None) -> OperationTable | None:
+def find_siggers(h: Digraph, budget: Budget = Budget()) -> OperationTable | None:
     """A 4-ary idempotent polymorphism with s(a,r,e,a) = s(r,a,r,e), or None.
 
     Presence certifies a Taylor polymorphism algebra; absence on a core
     certifies the opposite.
     """
-    return find_polymorphism(h, siggers_system(), is_siggers, budget, node_budget)
+    return find_polymorphism(h, siggers_system(), is_siggers, budget)
 
 
-def find_tsi(h: Digraph, k: int, budget: int = DEFAULT_INDICATOR_BUDGET,
-             node_budget: int | None = None) -> OperationTable | None:
+def find_tsi(h: Digraph, k: int, budget: Budget = Budget()) -> OperationTable | None:
     """A k-ary totally symmetric idempotent polymorphism, or None."""
     if k < 1:
         raise InvalidParams("TSI arity must be at least 1")
-    return find_polymorphism(h, tsi_system(k), is_tsi, budget, node_budget)
+    return find_polymorphism(h, tsi_system(k), is_tsi, budget)

@@ -33,7 +33,6 @@ from math import factorial
 from hcolor.algebra import OperationTable, table_from_function
 from hcolor.classify import CoreResult, _idempotent_power
 from hcolor.digraph import (
-    DEFAULT_POWER_BUDGET,
     Digraph,
     LevelAssignment,
     _bits,
@@ -42,14 +41,14 @@ from hcolor.digraph import (
     connected_components,
     power_index,
 )
-from hcolor.errors import BudgetExceeded, ConstructionStuck, NotBalanced
+from hcolor.errors import Budget, BudgetExceeded, ConstructionStuck, NotBalanced
 from hcolor.homsolver import CspInstance, _ac_fixpoint, _NodeCounter, solve_hom
 from hcolor.minpath import OrientedPath
 
 DEFAULT_ENUM_BUDGET = 5_000_000
 
 
-def direct_power(g: Digraph, n: int, budget: int = DEFAULT_POWER_BUDGET) -> Digraph:
+def direct_power(g: Digraph, n: int, budget: int = Budget().power) -> Digraph:
     """The n-th direct power: tuples as vertices, coordinatewise edges."""
     if n < 1:
         raise ValueError("power must be positive")
@@ -300,7 +299,7 @@ def level_groups(g: Digraph) -> list[int] | None:
         return None
 
 
-def sweep_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
+def sweep_core(g: Digraph, budget: Budget = Budget()) -> CoreResult:
     """Iterated retractions, each found by the first same-level vertex pair
     (all pairs off a connected balanced digraph) that an endomorphism can
     identify; the core is certified by a round whose sweep finds none."""
@@ -314,7 +313,7 @@ def sweep_core(g: Digraph, node_budget: int | None = None) -> CoreResult:
         for u, v in ((u, v) for u in range(n) for v in range(u + 1, n)
                      if levels is None or levels[u] == levels[v]):
             q, mapping = quotient(current, u, v)
-            hom = solve_hom(q, current, node_budget=node_budget)
+            hom = solve_hom(q, current, budget=budget)
             if hom is not None:
                 endo = tuple(hom[mapping[w]] for w in range(n))
                 break

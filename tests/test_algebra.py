@@ -9,6 +9,7 @@ import pytest
 
 import reference
 from corpus import loopless_digraphs_up_to_iso, random_special_trees
+from hcolor import algebra
 from hcolor.digraph import Digraph, LevelAssignment, diagonal_component, power_index
 from hcolor.errors import (
     ArityBudgetExceeded,
@@ -606,13 +607,15 @@ class TestNeighborhoodPointing:
 
     @pytest.mark.parametrize("make, c_set, arity", [(cyclic_star_tree, {0, 1, 2}, 4),
                                                     (deep_star_tree, {0, 1, 2, 3}, 8)])
-    def test_arity_budget(self, make, c_set, arity):
-        # the budget bounds the composed arity inclusively
+    def test_arity_budget(self, make, c_set, arity, monkeypatch):
+        # the budget bounds the composed arity inclusively, read at call time
         tree, b, star = make()
-        cert = build_pointing_for_neighborhood(tree, b, frozenset(c_set), star, arity)
+        monkeypatch.setattr(algebra, "ARITY_BUDGET", arity)
+        cert = build_pointing_for_neighborhood(tree, b, frozenset(c_set), star)
         assert cert.op.arity == arity
+        monkeypatch.setattr(algebra, "ARITY_BUDGET", arity - 1)
         with pytest.raises(ArityBudgetExceeded):
-            build_pointing_for_neighborhood(tree, b, frozenset(c_set), star, arity - 1)
+            build_pointing_for_neighborhood(tree, b, frozenset(c_set), star)
 
 
 class TestAfPointing:

@@ -1,13 +1,13 @@
-import inspect
 import random
-from itertools import product
+import traceback
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import all_digraphs, random_special_trees, relabel
-from hcolor import classify, cli, homsolver
+from hcolor import classify, errors, homsolver
 from hcolor.classify import (
     BOUNDED_WIDTH,
     NP_COMPLETE,
@@ -20,8 +20,8 @@ from hcolor.classify import (
     verify_lemma_suite,
 )
 from hcolor.algebra import table_from_function
-from hcolor.digraph import DEFAULT_POWER_BUDGET, Digraph, diagonal_component
-from hcolor.errors import BudgetExceeded, InvalidSpec
+from hcolor.digraph import Digraph, diagonal_component
+from hcolor.errors import Budget, BudgetExceeded, InvalidSpec
 from hcolor.homsolver import (
     CspInstance,
     build_instance,
@@ -183,7 +183,7 @@ class TestCoreCertificate:
         graphs = [g for n in range(4) for g in all_digraphs(n)] + certificate_trees()
         for g in graphs:
             try:
-                res = compute_core(g, node_budget=budget)
+                res = compute_core(g, Budget(nodes=budget))
             except BudgetExceeded:
                 continue
             assert res == compute_core(g), sorted(g.edges)
@@ -193,9 +193,9 @@ class TestCoreCertificate:
         calls, nodes = [], []
         real_solve, real_tick = classify.solve_instance, homsolver._NodeCounter.tick
 
-        def counting_solve(inst, node_budget=None):
+        def counting_solve(inst, budget):
             calls.append(inst)
-            return real_solve(inst, node_budget)
+            return real_solve(inst, budget)
 
         def counting_tick(counter):
             nodes.append(counter)
@@ -210,7 +210,7 @@ class TestCoreCertificate:
     @pytest.mark.parametrize("budget", [0, 1, 5])
     def test_triad_core_under_node_budget(self, budget):
         assert compute_core(compile_tree(canned_triad()).digraph,
-                            node_budget=budget).core.vertex_count == 39
+                            Budget(nodes=budget)).core.vertex_count == 39
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -281,7 +281,7 @@ class TestClassify:
             assert rep.verdict == BOUNDED_WIDTH
 
     def test_triad_tiny_budget_undetermined(self):
-        rep = classify_special_tree(canned_triad(), indicator_budget=100)
+        rep = classify_special_tree(canned_triad(), Budget(indicator=100))
         assert rep.verdict == UNDETERMINED
         assert rep.taylor == "budget_exceeded"
 
@@ -301,7 +301,7 @@ class TestClassify:
     def test_wall_budget_skips_every_search(self):
         # the core is still taken; each search is then skipped, not run
         spec = SpecialTreeSpec(1, 1, 1, ((0, 0, OrientedPath("1")),))
-        rep = classify_special_tree(spec, wall_budget=0)
+        rep = classify_special_tree(spec, Budget(wall=0))
         assert rep.verdict == UNDETERMINED and rep.is_core
         assert rep.width_certificates == {"majority": "budget_exceeded",
                                           "wnu3": "budget_exceeded"}
@@ -344,11 +344,11 @@ class TestClassify:
                  *(SpecialTreeSpec(1, 1, p.height, ((0, 0, p),)) for p in paths)]
         for spec in specs:
             want = classify_special_tree(spec).width_certificates
-            got = classify_special_tree(spec, node_budget=node_budget).width_certificates
+            got = classify_special_tree(spec, Budget(nodes=node_budget)).width_certificates
             assert list(got) in (list(want), [])
             assert all(got[k] in (want[k], "budget_exceeded") for k in got), (spec, got)
         if node_budget == 5:
-            assert classify_special_tree(canned_triad(), node_budget=5).width_certificates \
+            assert classify_special_tree(canned_triad(), Budget(nodes=5)).width_certificates \
                 == {"majority": "none", "wnu3": "none"}
 
     def test_core_not_special_tree(self, monkeypatch):
@@ -362,9 +362,36 @@ class TestClassify:
         assert set(rep.seeds) == {"seed", "diagnostic"}
         assert list(rep.timings) == ["core"]
 
+    def test_deadline_trips_inside_the_siggers_search(self, monkeypatch):
+        # a fake clock reads 0 when the record is made and one second more
+        # at each deadline test: the WNU3 probe's one component reads 1 as it
+        # is built and 2 as it is solved, the Siggers search's one component
+        # 3 as it is built and 4 as it is solved, past the 3.5 s deadline
+        clock = count()
+        monkeypatch.setattr(errors, "perf_counter", lambda: float(next(clock)))
+        raised = []
+        real = classify.find_siggers
+
+        def siggers(core, budget):
+            try:
+                return real(core, budget)
+            except BudgetExceeded as exc:
+                raised.append([f.name for f in traceback.extract_tb(exc.__traceback__)])
+                raise
+
+        monkeypatch.setattr(classify, "find_siggers", siggers)
+        rep = classify_special_tree(canned_triad(), Budget(wall=3.5))
+        assert rep.width_certificates == {"majority": "none", "wnu3": "none"}
+        assert (rep.taylor, rep.verdict) == ("budget_exceeded", UNDETERMINED)
+        # raised inside the search, after its pinned component was built
+        [frames] = raised
+        assert frames[1:] == ["find_siggers", "find_polymorphism", "_solve_lazily", "solved",
+                              "solve", "check_deadline"]
+        assert next(clock) == 5
+
     def test_classify_digraph_wall_budget(self):
         tri = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
-        assert classify_digraph(tri, wall_budget=1e-9).verdict == UNDETERMINED
+        assert classify_digraph(tri, Budget(wall=1e-9)).verdict == UNDETERMINED
 
 
 class TestLemmaSuite:
@@ -400,21 +427,14 @@ class TestLemmaSuite:
         deltas = []
         real = classify.extend_wnu
 
-        def counting(tree, tau, power_budget, delta=None):
+        def counting(tree, tau, budget, delta=None):
             deltas.append(delta)
-            return real(tree, tau, power_budget, delta)
+            return real(tree, tau, budget, delta)
 
         monkeypatch.setattr(classify, "extend_wnu", counting)
         spec = SpecialTreeSpec(1, 1, 1, ((0, 0, OrientedPath("1")),))
         assert verify_lemma_suite(spec, seed=1)["wnu_extension"] == "pass"
         assert deltas == [diagonal_component(compile_tree(spec).digraph, 3)]
-
-    def test_power_budget_default_matches_cli(self):
-        # the library and `hcolor verify` give one report for one tree only
-        # when they default to the same power budget
-        param = inspect.signature(verify_lemma_suite).parameters["power_budget"]
-        args = cli._build_parser().parse_args(["verify", "--tree", "t.stree"])
-        assert param.default == args.budget_power == DEFAULT_POWER_BUDGET
 
     def test_anchor_absorption_eligibility(self):
         # star template, o = 0: the anchor 3 has the pair {1, 2} above it

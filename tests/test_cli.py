@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcolor.classify
-from hcolor.cli import main
+from hcolor.cli import _budget, _build_parser, main
 from hcolor.digraph import format_dg, parse_dg
+from hcolor.errors import Budget
 from hcolor.homsolver import is_homomorphism
 from hcolor.minpath import OrientedPath
 from hcolor.spectree import canned_triad, compile_tree, format_roles, format_stree, parse_stree
@@ -187,6 +188,12 @@ class TestClassify:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "TAYLOR"
 
+    def test_wall_budget_runs_out_in_the_searches(self, triad_file, capsys):
+        # the core is taken; every search then meets the deadline
+        assert main(["classify", "--tree", triad_file, "--budget-wall", "0.000001"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["is_core"] and report["taylor"] == "budget_exceeded"
+
     @pytest.mark.parametrize("wall", ["-1", "0", "nan"])
     def test_bad_wall_budget(self, edge_file, wall, capsys):
         assert main(["classify", "--input", edge_file, "--budget-wall", wall]) == 2
@@ -356,6 +363,18 @@ class TestUsage:
 
     def test_bad_flag(self):
         assert main(["solve", "--nope"]) == 2
+
+    def test_budget_record_defaults_stand_in_for_flags(self):
+        # with no --budget-* flag, each subcommand runs under Budget()
+        parser = _build_parser()
+        for argv in (["solve", "--input", "x", "--target", "h"],
+                     ["poly", "--target", "h", "--kind", "wnu"], ["classify", "--tree", "t"],
+                     ["core", "--input", "g"], ["verify", "--tree", "t"],
+                     ["gen", "--seed", "1", "--a", "1", "--b", "1", "--height", "1"]):
+            assert _budget(parser.parse_args(argv)) == Budget(), argv
+        args = parser.parse_args(["verify", "--tree", "t", "--budget-power", "7",
+                                  "--budget-nodes", "0"])
+        assert _budget(args) == Budget(nodes=0, power=7)
 
     def test_unread_budget_flag_rejected(self, edge_file):
         # solve reads no power budget, so it does not accept one

@@ -1,14 +1,15 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import count
 
 import pytest
 
 from corpus import loopless_digraphs_up_to_iso, random_special_trees
-from hcolor import homsolver, polysearch
+from hcolor import errors, homsolver, polysearch
 from hcolor.classify import compute_core
 from hcolor.digraph import Digraph
-from hcolor.errors import BudgetExceeded, InvalidPin
+from hcolor.errors import Budget, BudgetExceeded, InvalidPin
 from hcolor.homsolver import (
     CspInstance,
     _ac_fixpoint,
@@ -245,7 +246,7 @@ class TestSeededFixpoint:
         core = compute_core(compile_tree(canned_triad()).digraph).core
         got = []
 
-        def stop(inst, node_budget=None):
+        def stop(inst, budget):
             got.append(inst)
             raise _Stop
 
@@ -447,7 +448,7 @@ class TestBucketsBounded:
         for _ in range(1000):
             x, h = random_digraph(rng, 16, 0.2), random_digraph(rng, 6, 0.4)
             try:
-                solve_hom(x, h, node_budget=3000)
+                solve_hom(x, h, budget=Budget(nodes=3000))
             except BudgetExceeded:
                 pass
         assert seen["picks"] > 1000 and seen["stale"] > 0, seen
@@ -457,7 +458,7 @@ class TestBucketsBounded:
         # nodes on a 505-variable component
         seen = self.checking_picks(monkeypatch, 16)
         with pytest.raises(BudgetExceeded):
-            find_siggers(tail_digraph(), node_budget=3000)
+            find_siggers(tail_digraph(), Budget(nodes=3000))
         assert seen["picks"] > 1000 and seen["stale"] > 0, seen
 
 
@@ -471,20 +472,39 @@ def tail_digraph() -> Digraph:
 
 def test_node_budget_error_names_budget_and_instance_size():
     with pytest.raises(BudgetExceeded) as exc:
-        find_siggers(tail_digraph(), node_budget=2000)
+        find_siggers(tail_digraph(), Budget(nodes=2000))
     assert str(exc.value) == "search node budget 2000 exhausted on a 505-variable instance"
+
+
+def test_deadline_tested_every_1024_nodes(monkeypatch):
+    # a fake clock reads 0 when the record is made and one second more at
+    # each deadline test: the one pinned component reads 1 as it is built
+    # and 2 as it is solved, node 1025 reads 3 and node 2049 reads 4, past
+    # the 3.5 s deadline
+    clock = count()
+    monkeypatch.setattr(errors, "perf_counter", lambda: float(next(clock)))
+    ticks = []
+    real_tick = _NodeCounter.tick
+
+    def counting_tick(counter):
+        ticks.append(None)
+        real_tick(counter)
+
+    monkeypatch.setattr(_NodeCounter, "tick", counting_tick)
+    with pytest.raises(BudgetExceeded, match="^wall budget of 3.5 s exhausted$"):
+        find_siggers(tail_digraph(), Budget(wall=3.5))
+    assert len(ticks) == 2049 and next(clock) == 5
 
 
 def search_outcome(search, domains, inst, budget=None):
     """(assignment or None, nodes) of a search, or ("budget", nodes) when
     the node budget runs out; nodes counts the values tried."""
-    counter = _NodeCounter(10 ** 9 if budget is None else budget, len(domains))
-    start = counter.left
+    counter = _NodeCounter(Budget(nodes=budget), len(domains))
     try:
         found = search(list(domains), inst, counter)
     except BudgetExceeded:
-        return "budget", start - counter.left
-    return (None if found is None else tuple(found)), start - counter.left
+        return "budget", counter.granted - counter.left
+    return (None if found is None else tuple(found)), counter.granted - counter.left
 
 
 class TestSearchAgainstReference:
@@ -580,7 +600,7 @@ class TestSolveHom:
         h = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         x = Digraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(BudgetExceeded):
-            solve_hom(x, h, node_budget=0)
+            solve_hom(x, h, budget=Budget(nodes=0))
 
     def test_respects_pins(self):
         tri = Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])

@@ -24,7 +24,7 @@ from hcolor.algebra import (
 )
 from hcolor.classify import classify_special_tree, compute_core
 from hcolor.digraph import Digraph, connected_components
-from hcolor.errors import BudgetExceeded, InconsistentPins, VerificationFailed
+from hcolor.errors import Budget, BudgetExceeded, InconsistentPins, VerificationFailed
 from hcolor.minpath import OrientedPath
 from hcolor.polysearch import (
     IdentitySystem,
@@ -117,7 +117,7 @@ class TestIndicator:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            indicator(TRIANGLE, wnu_system(3), budget=10)
+            indicator(TRIANGLE, wnu_system(3), Budget(indicator=10))
 
 
 class TestFindWnu:
@@ -172,16 +172,19 @@ class TestFindTsi:
         monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
         monkeypatch.setattr(polysearch, "_merge_tables", None)
         with pytest.raises(BudgetExceeded):
-            find_tsi(TRIANGLE, 4, budget=80)
+            find_tsi(TRIANGLE, 4, Budget(indicator=80))
 
     def test_recheck_past_its_budget_names_itself(self):
-        # a table is found on the looped K7; its re-check meets
-        # is_polymorphism's fixed cap, as 49^4 edge tuples exceed 5,000,000
+        # a table is found on the looped K7; its re-check meets the
+        # indicator budget, as 49^4 edge tuples exceed 4,000,000
         k7 = Digraph.from_edges(7, product(range(7), repeat=2))
         with pytest.raises(BudgetExceeded) as exc:
             find_tsi(k7, 4)
         assert str(exc.value) == ("re-check of the found 4-ary table: "
-                                  "49^4 edge tuples exceed budget 5000000")
+                                  "49^4 edge tuples exceed budget 4000000")
+        # a larger indicator budget reaches the re-check
+        table = find_tsi(k7, 4, Budget(indicator=6_000_000))
+        assert table is not None and is_tsi(table) and is_polymorphism(k7, table, 49 ** 4)
 
     def test_pattern_merges_join_exactly_equal_argument_sets(self):
         for k, n in product(range(1, 5), range(1, 5)):
@@ -222,7 +225,7 @@ class TestWnuOnTopBottom:
         # idempotent; the re-check catches it as find_wnu's does
         h = Digraph.from_edges(2, [(0, 0), (0, 1)])
         monkeypatch.setattr(polysearch, "_solve_lazily",
-                            lambda h, sys_, budget, node_budget: (0,) * 2 ** sys_.arity)
+                            lambda h, sys_, budget: (0,) * 2 ** sys_.arity)
         with pytest.raises(VerificationFailed, match="fails is_wnu_on_top_bottom"):
             find_wnu_on_top_bottom(h, 3, {0}, {1})
         with pytest.raises(VerificationFailed, match="fails is_wnu"):
@@ -281,10 +284,10 @@ class TestExhaustiveAgreement:
             assert (find_tsi(h, 2) is not None) == brute_force_exists(h, 2, is_tsi)
 
 
-def reference_search(h, sys, budget=polysearch.DEFAULT_INDICATOR_BUDGET, node_budget=None):
+def reference_search(h, sys, budget=Budget()):
     """The full indicator, split and solved component by component."""
     ind = indicator(h, sys, budget)
-    found = solve_indicator(ind, node_budget)
+    found = solve_indicator(ind, budget)
     if found is None:
         return None
     return OperationTable(ind.base, ind.arity, tuple(found[c] for c in ind.class_of))
@@ -314,7 +317,7 @@ WALK_SYSTEMS = {**DENSE_SYSTEMS, "tsi1": lambda h: tsi_system(1), "tsi3": lambda
 
 def lone_group(h, sys_) -> set[int]:
     """The tuples the lazy indicator handles in bulk, as one group."""
-    lazy = polysearch._LazyIndicator(h, sys_, polysearch.DEFAULT_INDICATOR_BUDGET)
+    lazy = polysearch._LazyIndicator(h, sys_, Budget())
     lazy.pinned_components()
     groups = [comp.lone for comp in lazy.remaining_components() if comp.lone]
     assert len(groups) <= 1
@@ -379,15 +382,15 @@ class TestLazyMatchesFullIndicator:
             for kind, make in DENSE_SYSTEMS.items():
                 for nodes in (0, 1, 3) if i % 7 == 0 else (0,):
                     sys_ = make(h)
-                    got = outcome(find_polymorphism, h, sys_, node_budget=nodes)
-                    want = outcome(reference_search, h, sys_, node_budget=nodes)
+                    got = outcome(find_polymorphism, h, sys_, budget=Budget(nodes=nodes))
+                    want = outcome(reference_search, h, sys_, Budget(nodes=nodes))
                     assert got == want, (kind, nodes, sorted(h.edges))
         for spec in random_special_trees(25):
             tree = compile_tree(spec)
             sys_ = top_bottom_system(tree)
             for nodes in (0, 1):
-                got = outcome(find_polymorphism, tree.digraph, sys_, node_budget=nodes)
-                want = outcome(reference_search, tree.digraph, sys_, node_budget=nodes)
+                got = outcome(find_polymorphism, tree.digraph, sys_, budget=Budget(nodes=nodes))
+                want = outcome(reference_search, tree.digraph, sys_, Budget(nodes=nodes))
                 assert got == want, (spec, nodes)
 
     def test_lone_group_ordered_at_its_smallest_tuple(self):
@@ -397,8 +400,8 @@ class TestLazyMatchesFullIndicator:
         h = Digraph.from_edges(4, [(1, 2), (2, 1)])
         sys_ = wnu_on_sets_system(2, [(1, 2)])
         assert lone_group(h, sys_) == {1, 2, 3, 4, 7, 8, 11, 12, 13, 14}
-        got = outcome(find_polymorphism, h, sys_, node_budget=0)
-        assert got == outcome(reference_search, h, sys_, node_budget=0)
+        got = outcome(find_polymorphism, h, sys_, budget=Budget(nodes=0))
+        assert got == outcome(reference_search, h, sys_, Budget(nodes=0))
         assert got == ("BudgetExceeded", "search node budget 0 exhausted on a 1-variable instance")
         assert outcome(find_polymorphism, h, sys_) is None
 
@@ -446,9 +449,9 @@ class TestLazyMatchesFullIndicator:
         monkeypatch.setattr(polysearch, "_merge_pairs", None)  # any use fails
         monkeypatch.setattr(polysearch, "_merge_tables", None)
         with pytest.raises(BudgetExceeded):
-            find_polymorphism(TRIANGLE, siggers_system(), budget=80)
+            find_polymorphism(TRIANGLE, siggers_system(), budget=Budget(indicator=80))
         monkeypatch.undo()
-        assert outcome(find_polymorphism, TRIANGLE, siggers_system(), budget=81) is None
+        assert outcome(find_polymorphism, TRIANGLE, siggers_system(), budget=Budget(indicator=81)) is None
 
     def test_searches_never_enumerate_merge_pairs(self, monkeypatch):
         # the lazy path reads the merge tables; only the full indicator
@@ -473,9 +476,9 @@ class TestLazyMatchesFullIndicator:
         solved = []
         solve = polysearch.solve_instance
 
-        def counting(inst, node_budget=None):
+        def counting(inst, budget):
             solved.append(inst.variable_count)
-            return solve(inst, node_budget)
+            return solve(inst, budget)
 
         monkeypatch.setattr(polysearch, "solve_instance", counting)
         assert find_siggers(compile_tree(canned_triad()).digraph) is None
@@ -571,11 +574,11 @@ class TestMergeTableMemory:
         starts, solving = [], []
         solve = polysearch._LazyIndicator.solve
 
-        def recording(lazy, comp, node_budget):
+        def recording(lazy, comp):
             solving.append(comp)
-            return solve(lazy, comp, node_budget)
+            return solve(lazy, comp)
 
-        def stop(inst, node_budget=None):
+        def stop(inst, budget):
             starts.append((inst.variable_count, tracemalloc.get_traced_memory()[0],
                            [type(x) for x in gc.get_referents(solving[-1])]))
             raise _Stop
@@ -619,9 +622,9 @@ def record_solves(monkeypatch) -> list:
     keys = []
     solve = polysearch.solve_instance
 
-    def recording(inst, node_budget=None):
+    def recording(inst, budget):
         keys.append((inst.domains, inst.constraints))
-        return solve(inst, node_budget)
+        return solve(inst, budget)
 
     monkeypatch.setattr(polysearch, "solve_instance", recording)
     return keys
@@ -708,9 +711,9 @@ class TestRefutedOnPins:
     def test_budgets_apply(self):
         core = compute_core(compile_tree(canned_triad()).digraph).core
         with pytest.raises(BudgetExceeded):
-            refuted_on_pins(core, wnu_system(3), budget=39 ** 3 - 1)
+            refuted_on_pins(core, wnu_system(3), Budget(indicator=39 ** 3 - 1))
         with pytest.raises(BudgetExceeded):
-            refuted_on_pins(core, wnu_system(3), node_budget=0)
+            refuted_on_pins(core, wnu_system(3), Budget(nodes=0))
 
 
 class TestWorkCounts:
@@ -803,7 +806,7 @@ class TestSuccessorLists:
         successor lists are checked against the general loop's."""
         total = ranked = 0
         for h, sys_ in searches:
-            lazy = polysearch._LazyIndicator(h, sys_, polysearch.DEFAULT_INDICATOR_BUDGET)
+            lazy = polysearch._LazyIndicator(h, sys_, Budget())
             for comp in lazy.pinned_components() + lazy.remaining_components():
                 class_of = dict(zip(comp.tuples, comp.classes))
                 assert comp.memo[0] == lazy.successors(class_of, False)
@@ -881,12 +884,12 @@ CORRUPTED_SOLVERS = """
     homsolver._search = lambda domains, inst, counter: [1] * len(domains)
     expect_failure(lambda: homsolver.solve_hom(edge, edge))
     homsolver._search = search
-    polysearch.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
+    polysearch.solve_instance = lambda inst, budget: (0,) * len(inst.domains)
     expect_failure(lambda: polysearch.find_wnu(edge, 3))
     polysearch.solve_instance = solve_instance
     # the all-zero table preserves 0 -> 0 and 0 -> 1 but is not idempotent
     solve_lazily = polysearch._solve_lazily
-    polysearch._solve_lazily = lambda h, sys_, budget, node_budget: (0,) * 2 ** sys_.arity
+    polysearch._solve_lazily = lambda h, sys_, budget: (0,) * 2 ** sys_.arity
     expect_failure(lambda: polysearch.find_wnu_on_top_bottom(
         Digraph.from_edges(2, [(0, 0), (0, 1)]), 3, {0}, {1}))
     polysearch._solve_lazily = solve_lazily
@@ -895,7 +898,7 @@ CORRUPTED_SOLVERS = """
 
     # 0 -> 1 <- 2 retracts onto one edge; corrupt each core step in turn
     vee = Digraph.from_edges(3, [(0, 1), (2, 1)])
-    classify.solve_instance = lambda inst, node_budget=None: (0,) * len(inst.domains)
+    classify.solve_instance = lambda inst, budget: (0,) * len(inst.domains)
     expect_failure(lambda: classify.compute_core(vee))
     classify.solve_instance = solve_instance
     classify._idempotent_power = lambda endo: (1, 1, 1)
